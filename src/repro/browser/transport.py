@@ -195,7 +195,6 @@ class Transport:
         log, and its 200 status means the retry loop does not multiply
         load the governor just refused.
         """
-        self._count("overload.shed_responses")
         return Response(
             status=Status.OK,
             headers=Headers(

@@ -1,83 +1,142 @@
-"""Aggregated results of one simulation run."""
+"""Aggregated results of one simulation run.
+
+:class:`RunResult` is the single ledger of run-level outcomes: each
+counter is declared once, as a field, together with the rule that folds
+one shard's value into another's. :meth:`RunResult.merge` and
+:meth:`RunResult.to_dict` are derived from those declarations.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.sim.metrics import Histogram, MetricRegistry
+
+#: Field-metadata key of a field's merge rule: ``rule(ours, theirs)``
+#: returns the merged value. Every field declares one; ``None`` marks
+#: the fields :meth:`RunResult.merge` folds itself (the scenario name,
+#: the registry, and the PLT histograms aliasing into it).
+MERGE = "merge"
+#: Field-metadata key; ``False`` keeps a field out of ``to_dict()``.
+RECORD = "record"
+
+
+def merge_keywise(ours: dict, theirs: dict) -> dict:
+    """Sum *theirs* into *ours* key by key (nested maps recurse)."""
+    for key, value in theirs.items():
+        if isinstance(value, dict):
+            merge_keywise(ours.setdefault(key, {}), value)
+        else:
+            ours[key] = ours.get(key, 0) + value
+    return ours
+
+
+def _optional(rule):
+    """Lift *rule* to values that are ``None`` when absent."""
+
+    def merged(ours, theirs):
+        if theirs is None:
+            return ours
+        return rule(type(theirs)() if ours is None else ours, theirs)
+
+    return merged
+
+
+def _field(rule, record=True, **kwargs):
+    """A dataclass field carrying its merge rule and ``to_dict`` flag."""
+    return field(metadata={MERGE: rule, RECORD: record}, **kwargs)
+
+
+def counter(rule=operator.add, default=0, record=True):
+    """A scalar ledger field; shards sum unless *rule* says otherwise
+    (``max`` for extrema: each shard saw only its own)."""
+    return _field(rule, record, default=default)
+
+
+def tally():
+    """A per-key count map; shards sum key by key."""
+    return _field(merge_keywise, default_factory=dict)
+
+
+def _share(part, whole) -> float:
+    return part / whole if whole else 0.0
 
 
 @dataclass
 class RunResult:
     """Everything measured during one trace replay."""
 
-    scenario_name: str
-    metrics: MetricRegistry
+    #: Folded by :meth:`merge` itself and kept out of ``to_dict()``.
+    scenario_name: str = _field(None, False)
+    metrics: MetricRegistry = _field(None, False)
     #: Page load times, overall and per dimension.
-    plt: Histogram
-    plt_by_page_kind: Dict[str, Histogram] = field(default_factory=dict)
-    plt_by_connection: Dict[str, Histogram] = field(default_factory=dict)
+    plt: Histogram = _field(None, False)
+    plt_by_page_kind: Dict[str, Histogram] = _field(None, False, default_factory=dict)
+    plt_by_connection: Dict[str, Histogram] = _field(None, False, default_factory=dict)
     #: Request counts by serving layer ("origin", "edge-1",
     #: "browser:<node>"→"browser", "sw:<node>"→"sw").
-    served_by_layer: Dict[str, int] = field(default_factory=dict)
+    served_by_layer: Dict[str, int] = tally()
     #: Request counts by (layer, resource kind).
-    served_by_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    served_by_kind: Dict[str, Dict[str, int]] = tally()
     #: Degraded servings (stale-if-error, offline mode) per layer — a
     #: subset of ``served_by_layer``. Kept separate so hit ratios can
     #: exclude availability fallbacks from the fresh-hit numerator.
-    served_degraded_by_layer: Dict[str, int] = field(default_factory=dict)
+    served_degraded_by_layer: Dict[str, int] = tally()
     #: Coherence outcome.
-    reads_checked: int = 0
-    stale_reads: int = 0
-    delta_violations: int = 0
-    max_staleness: float = 0.0
+    reads_checked: int = counter()
+    stale_reads: int = counter()
+    delta_violations: int = counter()
+    max_staleness: float = counter(max, 0.0)
     #: Worst staleness among users NOT covered by the Δ guarantee
     #: (non-consenting users running the plain browser stack).
-    uncovered_max_staleness: float = 0.0
+    uncovered_max_staleness: float = counter(max, 0.0)
     #: Sketch accounting (Speed Kit only).
-    sketch_fetches: int = 0
-    sketch_bytes: int = 0
+    sketch_fetches: int = counter()
+    sketch_bytes: int = counter()
     #: Scrubbing accounting (Speed Kit only).
-    requests_scrubbed: int = 0
+    requests_scrubbed: int = counter()
     #: Origin load.
-    origin_requests: int = 0
+    origin_requests: int = counter()
     #: Sessions (home-page entries), for per-session statistics.
-    page_views: int = 0
+    page_views: int = counter()
     #: Requests answered with a 5xx (origin outages).
-    failed_responses: int = 0
+    failed_responses: int = counter()
     #: Egress bandwidth: bytes the origin served vs. bytes edges served.
-    origin_egress_bytes: int = 0
-    edge_egress_bytes: int = 0
+    origin_egress_bytes: int = counter()
+    edge_egress_bytes: int = counter()
     #: Personalization correctness: page/query responses to logged-in
     #: users that carried the right personalization (their segment, or
     #: a full identity-personalized render) vs. anonymous fallbacks.
-    personalization_checks: int = 0
-    personalization_misses: int = 0
+    #: Archived only as :meth:`personalization_rate`.
+    personalization_checks: int = counter(record=False)
+    personalization_misses: int = counter(record=False)
     #: GDPR accounting: data-subject requests served and the erasure
     #: outcome. ``erasure_residuals`` is the compliance gate — any
     #: nonzero value means user bytes survived an erase somewhere.
-    erasures: int = 0
-    accesses: int = 0
-    erasure_removed: int = 0
-    erasure_residuals: int = 0
-    erasure_replicas_dropped: int = 0
-    erasure_queued_scrubbed: int = 0
+    erasures: int = counter()
+    accesses: int = counter()
+    erasure_removed: int = counter()
+    erasure_residuals: int = counter()
+    erasure_replicas_dropped: int = counter()
+    erasure_queued_scrubbed: int = counter()
     #: Exported span records rewritten by the erasure scrubbing pass.
-    spans_scrubbed: int = 0
+    spans_scrubbed: int = counter()
     #: Multi-key transaction accounting. ``txn_fractured_reads``,
     #: ``txn_serialization_violations``, and ``txn_silent_downgrades``
     #: are the ladder's compliance gates — all must be zero.
-    txns: int = 0
-    txn_aborts: int = 0
-    txn_validation_retries: int = 0
-    txn_refetches: int = 0
-    txn_degraded: int = 0
-    txn_erase_conflicts: int = 0
-    txn_fractured_reads: int = 0
-    txn_serialization_violations: int = 0
-    txn_silent_downgrades: int = 0
-    txn_buffers_scrubbed: int = 0
+    txns: int = counter()
+    txn_aborts: int = counter()
+    txn_validation_retries: int = counter()
+    txn_refetches: int = counter()
+    txn_degraded: int = counter()
+    txn_erase_conflicts: int = counter()
+    txn_fractured_reads: int = counter()
+    txn_serialization_violations: int = counter()
+    txn_silent_downgrades: int = counter()
+    txn_buffers_scrubbed: int = counter()
     #: Overload-plane accounting (zero unless an
     #: ``overload_profile`` governed the run). ``offered_requests``
     #: counts every arrival at a governor, ``admitted_requests`` those
@@ -85,45 +144,52 @@ class RunResult:
     #: governor-side refusals, ``shed_responses`` the synthesized
     #: ``X-Load-Shed`` answers that reached clients — the property
     #: suite pins the two shed counts equal.
-    offered_requests: int = 0
-    admitted_requests: int = 0
-    queued_requests: int = 0
-    shed_requests: int = 0
-    shed_responses: int = 0
+    offered_requests: int = counter()
+    admitted_requests: int = counter()
+    queued_requests: int = counter()
+    shed_requests: int = counter()
+    shed_responses: int = counter()
     #: Shed counts by priority class label ("personalized", "static");
     #: "control" must never appear.
-    shed_by_class: Dict[str, int] = field(default_factory=dict)
+    shed_by_class: Dict[str, int] = tally()
     #: Page views whose every response was fresh, unmarked, and whose
     #: PLT met the profile's SLO — the goodput numerator. Counted only
     #: when an overload profile is active (otherwise 0).
-    goodput_pages: int = 0
-    #: Deepest any governed queue got (merged with max across shards).
-    queue_depth_peak: int = 0
+    goodput_pages: int = counter()
+    #: Deepest any governed queue got.
+    queue_depth_peak: int = counter(max)
     #: Autoscaler decisions and control-lane tickets.
-    scale_ups: int = 0
-    scale_downs: int = 0
-    control_events: int = 0
+    scale_ups: int = counter()
+    scale_downs: int = counter()
+    control_events: int = counter()
     #: Per-tier latency attribution (tier -> total critical-path
     #: seconds across all traced page views); ``None`` unless the run
     #: recorded traces.
-    tier_breakdown: Optional[Dict[str, float]] = None
+    tier_breakdown: Optional[Dict[str, float]] = _field(
+        _optional(merge_keywise), False, default=None
+    )
     #: Exported span records of the whole run (``None`` unless the run
     #: recorded traces); the JSONL exporter serializes exactly these.
-    trace_records: Optional[List[dict]] = field(default=None, repr=False)
+    trace_records: Optional[List[dict]] = _field(
+        _optional(operator.iadd), False, default=None, repr=False
+    )
     #: Throughput accounting: trace events replayed and kernel events
     #: (event-queue pops) executed — the numerator of events/second.
-    events_processed: int = 0
-    kernel_events: int = 0
+    events_processed: int = counter()
+    kernel_events: int = counter()
     #: How many sim-kernel shards produced this result (1 = serial).
-    n_shards: int = 1
+    n_shards: int = counter(default=1)
     #: Wall-clock seconds spent producing this result. Serial runs
     #: stamp the replay duration; the sharded orchestrator re-stamps
     #: the merged result with end-to-end elapsed time so
     #: :meth:`events_per_second` reports real aggregate throughput.
     #: Excluded from :meth:`to_dict` (host-dependent) and equality.
-    wall_seconds: float = field(default=0.0, compare=False)
+    wall_seconds: float = _field(operator.add, False, default=0.0, compare=False)
 
     # -- derived ----------------------------------------------------------
+
+    def _served(self) -> int:
+        return sum(self.served_by_layer.values())
 
     def cache_hit_ratio(self) -> float:
         """Fraction of requests answered *fresh* without touching the
@@ -135,51 +201,35 @@ class RunResult:
         inflate the hit ratio. They count in the denominator only (see
         :meth:`degraded_serve_ratio`).
         """
-        total = sum(self.served_by_layer.values())
-        if not total:
-            return 0.0
+        total = self._served()
         cached = (
             total
             - self.served_by_layer.get("origin", 0)
             - sum(self.served_degraded_by_layer.values())
         )
-        return cached / total
+        return _share(cached, total)
 
     def degraded_serve_ratio(self) -> float:
         """Fraction of requests answered by degraded fallbacks."""
-        total = sum(self.served_by_layer.values())
-        if not total:
-            return 0.0
-        return sum(self.served_degraded_by_layer.values()) / total
+        degraded = sum(self.served_degraded_by_layer.values())
+        return _share(degraded, self._served())
 
     def layer_share(self, layer: str) -> float:
-        total = sum(self.served_by_layer.values())
-        if not total:
-            return 0.0
-        return self.served_by_layer.get(layer, 0) / total
+        return _share(self.served_by_layer.get(layer, 0), self._served())
 
     def hit_ratio_for_kind(self, kind: str) -> float:
         """Cache hit ratio restricted to one resource kind."""
-        by_layer = {
-            layer: kinds.get(kind, 0)
-            for layer, kinds in self.served_by_kind.items()
-        }
-        total = sum(by_layer.values())
-        if not total:
-            return 0.0
-        return (total - by_layer.get("origin", 0)) / total
+        total = sum(kinds.get(kind, 0) for kinds in self.served_by_kind.values())
+        origin = self.served_by_kind.get("origin", {}).get(kind, 0)
+        return _share(total - origin, total)
 
     def stale_read_fraction(self) -> float:
-        if not self.reads_checked:
-            return 0.0
-        return self.stale_reads / self.reads_checked
+        return _share(self.stale_reads, self.reads_checked)
 
     def error_rate(self) -> float:
         """Fraction of responses that were 5xx failures."""
-        total = sum(self.served_by_layer.values()) + self.failed_responses
-        if not total:
-            return 0.0
-        return self.failed_responses / total
+        failed = self.failed_responses
+        return _share(failed, self._served() + failed)
 
     def availability(self) -> float:
         """Fraction of responses served successfully (1 − error rate).
@@ -192,23 +242,18 @@ class RunResult:
 
     def personalization_rate(self) -> float:
         """Fraction of logged-in page views personalized correctly."""
-        if not self.personalization_checks:
-            return 1.0
-        return 1.0 - self.personalization_misses / self.personalization_checks
+        checks = self.personalization_checks
+        return 1.0 - _share(self.personalization_misses, checks)
 
     def goodput_ratio(self) -> float:
         """Fraction of page views that were *good*: every response
         fresh and unmarked (no shed, no stale-if-error, no offline
         fallback, no 5xx) and the PLT within the profile's SLO."""
-        if not self.page_views:
-            return 0.0
-        return self.goodput_pages / self.page_views
+        return _share(self.goodput_pages, self.page_views)
 
     def shed_ratio(self) -> float:
         """Fraction of offered requests the governors refused."""
-        if not self.offered_requests:
-            return 0.0
-        return self.shed_requests / self.offered_requests
+        return _share(self.shed_requests, self.offered_requests)
 
     def events_per_second(self) -> float:
         """Kernel events executed per wall-clock second (0 if untimed)."""
@@ -219,14 +264,15 @@ class RunResult:
     def merge(self, other: "RunResult") -> "RunResult":
         """Fold one shard's result into self (the exact-merge path).
 
-        Counters sum, the metric registries merge collector-by-
-        collector (histograms concatenate raw values, quantile sketches
-        use their exact bucket merge), extrema take the max, and trace
-        records concatenate. The per-dimension histogram maps are
-        re-pointed at the merged registry entries, so ``self.plt`` and
-        friends stay aliases of registry-owned histograms — merging the
-        registry once merges them too (never merge them separately,
-        that would double-count).
+        Every ledger field folds by the rule declared on it (sum,
+        max, key-wise sum, concatenation). The metric registries merge
+        collector-by-collector (histograms concatenate raw values,
+        quantile sketches use their exact bucket merge). The
+        per-dimension histogram maps are re-pointed at the merged
+        registry entries, so ``self.plt`` and friends stay aliases of
+        registry-owned histograms — merging the registry once merges
+        them too (never merge them separately, that would
+        double-count).
         """
         if other.scenario_name != self.scenario_name:
             raise ValueError(
@@ -250,152 +296,29 @@ class RunResult:
             self.plt_by_connection.setdefault(
                 conn, self.metrics.histogram(f"plt.conn.{conn}")
             )
-        for layer, count in other.served_by_layer.items():
-            self.served_by_layer[layer] = (
-                self.served_by_layer.get(layer, 0) + count
-            )
-        for layer, kinds in other.served_by_kind.items():
-            ours = self.served_by_kind.setdefault(layer, {})
-            for kind, count in kinds.items():
-                ours[kind] = ours.get(kind, 0) + count
-        for layer, count in other.served_degraded_by_layer.items():
-            self.served_degraded_by_layer[layer] = (
-                self.served_degraded_by_layer.get(layer, 0) + count
-            )
-        self.reads_checked += other.reads_checked
-        self.stale_reads += other.stale_reads
-        self.delta_violations += other.delta_violations
-        self.max_staleness = max(self.max_staleness, other.max_staleness)
-        self.uncovered_max_staleness = max(
-            self.uncovered_max_staleness, other.uncovered_max_staleness
-        )
-        self.sketch_fetches += other.sketch_fetches
-        self.sketch_bytes += other.sketch_bytes
-        self.requests_scrubbed += other.requests_scrubbed
-        self.origin_requests += other.origin_requests
-        self.page_views += other.page_views
-        self.failed_responses += other.failed_responses
-        self.origin_egress_bytes += other.origin_egress_bytes
-        self.edge_egress_bytes += other.edge_egress_bytes
-        self.personalization_checks += other.personalization_checks
-        self.personalization_misses += other.personalization_misses
-        self.erasures += other.erasures
-        self.accesses += other.accesses
-        self.erasure_removed += other.erasure_removed
-        self.erasure_residuals += other.erasure_residuals
-        self.erasure_replicas_dropped += other.erasure_replicas_dropped
-        self.erasure_queued_scrubbed += other.erasure_queued_scrubbed
-        self.spans_scrubbed += other.spans_scrubbed
-        self.txns += other.txns
-        self.txn_aborts += other.txn_aborts
-        self.txn_validation_retries += other.txn_validation_retries
-        self.txn_refetches += other.txn_refetches
-        self.txn_degraded += other.txn_degraded
-        self.txn_erase_conflicts += other.txn_erase_conflicts
-        self.txn_fractured_reads += other.txn_fractured_reads
-        self.txn_serialization_violations += (
-            other.txn_serialization_violations
-        )
-        self.txn_silent_downgrades += other.txn_silent_downgrades
-        self.txn_buffers_scrubbed += other.txn_buffers_scrubbed
-        self.offered_requests += other.offered_requests
-        self.admitted_requests += other.admitted_requests
-        self.queued_requests += other.queued_requests
-        self.shed_requests += other.shed_requests
-        self.shed_responses += other.shed_responses
-        for cls, count in other.shed_by_class.items():
-            self.shed_by_class[cls] = self.shed_by_class.get(cls, 0) + count
-        self.goodput_pages += other.goodput_pages
-        # Peak depth is an extremum, not a flow: shards each saw their
-        # own queue, so the merged peak is the worst any shard saw.
-        self.queue_depth_peak = max(
-            self.queue_depth_peak, other.queue_depth_peak
-        )
-        self.scale_ups += other.scale_ups
-        self.scale_downs += other.scale_downs
-        self.control_events += other.control_events
-        if other.tier_breakdown is not None:
-            if self.tier_breakdown is None:
-                self.tier_breakdown = {}
-            for tier, seconds in other.tier_breakdown.items():
-                self.tier_breakdown[tier] = (
-                    self.tier_breakdown.get(tier, 0.0) + seconds
-                )
-        if other.trace_records is not None:
-            if self.trace_records is None:
-                self.trace_records = []
-            self.trace_records.extend(other.trace_records)
-        self.events_processed += other.events_processed
-        self.kernel_events += other.kernel_events
-        self.n_shards += other.n_shards
-        self.wall_seconds += other.wall_seconds
+        for f in fields(self):
+            rule = f.metadata[MERGE]
+            if rule is not None:
+                merged = rule(getattr(self, f.name), getattr(other, f.name))
+                setattr(self, f.name, merged)
         return self
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serializable record of the run (for result archives)."""
-        record: Dict[str, object] = {
-            "scenario": self.scenario_name,
-            "page_views": self.page_views,
-            "events_processed": self.events_processed,
-            "kernel_events": self.kernel_events,
-            "n_shards": self.n_shards,
-            "served_by_layer": dict(self.served_by_layer),
-            "served_by_kind": {
-                layer: dict(kinds)
-                for layer, kinds in self.served_by_kind.items()
-            },
-            "served_degraded_by_layer": dict(self.served_degraded_by_layer),
-            "cache_hit_ratio": self.cache_hit_ratio(),
-            "degraded_serve_ratio": self.degraded_serve_ratio(),
-            "origin_requests": self.origin_requests,
-            "origin_egress_bytes": self.origin_egress_bytes,
-            "edge_egress_bytes": self.edge_egress_bytes,
-            "reads_checked": self.reads_checked,
-            "stale_reads": self.stale_reads,
-            "stale_read_fraction": self.stale_read_fraction(),
-            "max_staleness": self.max_staleness,
-            "uncovered_max_staleness": self.uncovered_max_staleness,
-            "delta_violations": self.delta_violations,
-            "failed_responses": self.failed_responses,
-            "error_rate": self.error_rate(),
-            "availability": self.availability(),
-            "personalization_rate": self.personalization_rate(),
-            "sketch_fetches": self.sketch_fetches,
-            "sketch_bytes": self.sketch_bytes,
-            "requests_scrubbed": self.requests_scrubbed,
-            "erasures": self.erasures,
-            "accesses": self.accesses,
-            "erasure_removed": self.erasure_removed,
-            "erasure_residuals": self.erasure_residuals,
-            "erasure_replicas_dropped": self.erasure_replicas_dropped,
-            "erasure_queued_scrubbed": self.erasure_queued_scrubbed,
-            "spans_scrubbed": self.spans_scrubbed,
-            "txns": self.txns,
-            "txn_aborts": self.txn_aborts,
-            "txn_validation_retries": self.txn_validation_retries,
-            "txn_refetches": self.txn_refetches,
-            "txn_degraded": self.txn_degraded,
-            "txn_erase_conflicts": self.txn_erase_conflicts,
-            "txn_fractured_reads": self.txn_fractured_reads,
-            "txn_serialization_violations": (
-                self.txn_serialization_violations
-            ),
-            "txn_silent_downgrades": self.txn_silent_downgrades,
-            "txn_buffers_scrubbed": self.txn_buffers_scrubbed,
-            "offered_requests": self.offered_requests,
-            "admitted_requests": self.admitted_requests,
-            "queued_requests": self.queued_requests,
-            "shed_requests": self.shed_requests,
-            "shed_responses": self.shed_responses,
-            "shed_by_class": dict(self.shed_by_class),
-            "goodput_pages": self.goodput_pages,
-            "goodput_ratio": self.goodput_ratio(),
-            "shed_ratio": self.shed_ratio(),
-            "queue_depth_peak": self.queue_depth_peak,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "control_events": self.control_events,
-        }
+        record: Dict[str, object] = {"scenario": self.scenario_name}
+        for f in fields(self):
+            if f.metadata.get(RECORD, True):
+                record[f.name] = copy.deepcopy(getattr(self, f.name))
+        record.update(
+            cache_hit_ratio=self.cache_hit_ratio(),
+            degraded_serve_ratio=self.degraded_serve_ratio(),
+            stale_read_fraction=self.stale_read_fraction(),
+            error_rate=self.error_rate(),
+            availability=self.availability(),
+            personalization_rate=self.personalization_rate(),
+            goodput_ratio=self.goodput_ratio(),
+            shed_ratio=self.shed_ratio(),
+        )
         if len(self.plt):
             record["plt"] = {
                 "p50": self.plt.percentile(50),

@@ -59,6 +59,13 @@ from repro.workload.users import User, UserPopulation
 _SLACK = 1.0
 
 
+def _served_degraded(response) -> bool:
+    """Did a degraded fallback (stale-if-error, offline mode) serve
+    *response*? Such servings are availability wins, not fresh hits."""
+    headers = response.headers
+    return "X-Stale-If-Error" in headers or "X-SpeedKit-Offline" in headers
+
+
 class SimulationRunner:
     """Builds the full stack for a scenario and replays a trace."""
 
@@ -762,46 +769,39 @@ class SimulationRunner:
         self._record_txn(user, result, delta_covered)
         return None
 
-    def _record_txn(self, user: User, txn, delta_covered: bool) -> None:
+    def _record_txn(self, user: User, outcome, delta_covered: bool) -> None:
         result = self.result
         result.txns += 1
-        result.txn_aborts += txn.aborts
-        result.txn_validation_retries += txn.validation_retries
-        result.txn_refetches += txn.refetches
-        if txn.degraded:
-            result.txn_degraded += 1
-            self.metrics.counter("txn.degraded").inc()
-        if txn.erase_conflict:
-            result.txn_erase_conflicts += 1
-            self.metrics.counter("txn.erase_conflicts").inc()
-        if txn.aborts:
-            self.metrics.counter("txn.aborts").inc(txn.aborts)
-        self.metrics.counter(f"txn.level.{txn.requested.value}").inc()
+        result.txn_aborts += outcome.aborts
+        result.txn_validation_retries += outcome.validation_retries
+        result.txn_refetches += outcome.refetches
+        result.txn_degraded += outcome.degraded
+        result.txn_erase_conflicts += outcome.erase_conflict
+        level = outcome.requested.value
+        self.metrics.counter(f"txn.level.{level}").inc()
         # Per-level latency sketches: the consistency-vs-PLT curve is a
         # quantile query away, and shards merge exactly.
-        self.metrics.sketch(f"txn.plt.{txn.requested.value}").observe(
-            txn.plt
-        )
-        self.metrics.sketch("txn.aborts.per_txn").observe(float(txn.aborts))
-        for read in txn.reads:
+        self.metrics.sketch(f"txn.plt.{level}").observe(outcome.plt)
+        self.metrics.sketch("txn.aborts.per_txn").observe(float(outcome.aborts))
+        for read in outcome.reads:
             self._record_response(
                 read.response,
                 delta_covered,
                 client=user.user_id,
                 read_at=read.read_at,
-                issued_at=txn.started_at,
+                issued_at=outcome.started_at,
             )
         self.txn_checker.record_txn(
-            requested=txn.requested,
-            achieved=txn.achieved,
-            degraded=txn.degraded,
+            requested=outcome.requested,
+            achieved=outcome.achieved,
+            degraded=outcome.degraded,
             reads=tuple(
                 (read.version_key, read.version, read.read_at)
-                for read in txn.reads
+                for read in outcome.reads
                 if read.certifiable and read.response.status == Status.OK
             ),
-            validated_at=txn.validated_at,
-            finished_at=txn.finished_at,
+            validated_at=outcome.validated_at,
+            finished_at=outcome.finished_at,
             client=user.user_id,
         )
 
@@ -850,13 +850,11 @@ class SimulationRunner:
             clean = not any(
                 response.status.is_server_error
                 or LOAD_SHED_HEADER in response.headers
-                or "X-Stale-If-Error" in response.headers
-                or "X-SpeedKit-Offline" in response.headers
+                or _served_degraded(response)
                 for response in result.responses
             )
             if clean and result.plt <= self._overload_slo:
                 self.result.goodput_pages += 1
-                self.metrics.counter("overload.goodput_pages").inc()
         for response in result.responses:
             self._record_response(
                 response,
@@ -921,32 +919,22 @@ class SimulationRunner:
             # A synthesized shed answer: marked, versionless, and
             # counted on its own — it must not pollute the serve/hit
             # ledgers or the coherence read log.
-            layer = self._layer_of(response.served_by)
             self.result.shed_responses += 1
-            self.metrics.counter(f"serve.shed.{layer}").inc()
             return
         if response.status != Status.OK or response.version is None:
             return
         layer = self._layer_of(response.served_by)
-        self.result.served_by_layer[layer] = (
-            self.result.served_by_layer.get(layer, 0) + 1
-        )
-        self.metrics.counter(f"serve.layer.{layer}").inc()
+        served = self.result.served_by_layer
+        served[layer] = served.get(layer, 0) + 1
         kind = response.headers.get("X-Resource-Kind", "unknown")
         per_kind = self.result.served_by_kind.setdefault(layer, {})
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        self.metrics.counter(f"serve.kind.{layer}.{kind}").inc()
-        if (
-            "X-Stale-If-Error" in response.headers
-            or "X-SpeedKit-Offline" in response.headers
-        ):
+        if _served_degraded(response):
             # Degraded servings (stale-if-error, offline mode) are
             # availability wins, not fresh cache hits — they are
             # tallied separately so hit ratios stay honest.
-            self.result.served_degraded_by_layer[layer] = (
-                self.result.served_degraded_by_layer.get(layer, 0) + 1
-            )
-            self.metrics.counter(f"serve.degraded.{layer}").inc()
+            degraded = self.result.served_degraded_by_layer
+            degraded[layer] = degraded.get(layer, 0) + 1
         if "X-SpeedKit-Offline" in response.headers:
             # Offline serving explicitly trades Δ-atomicity for
             # availability; these reads are accounted, not checked.

@@ -6,12 +6,8 @@ working) and adds create-or-get :class:`~repro.obs.quantile.QuantileSketch`
 streaming histograms for p50/p95/p99 queries that do not retain raw
 samples and merge exactly across shards or runs.
 
-It also hosts the structured serving tallies the harness previously
-kept as ad-hoc dicts: per-layer and per-kind serving counts flow
-through ``serve.layer.*`` / ``serve.kind.*`` counters, with degraded
-servings (stale-if-error and offline responses) tracked separately
-under ``serve.degraded.*`` so fresh cache hits are distinguishable
-from responses the degradation ladder kept alive.
+Run-level serving tallies (per layer, per kind, degraded, shed) are not
+kept here: :class:`repro.harness.RunResult` is their single ledger.
 """
 
 from __future__ import annotations
@@ -55,14 +51,6 @@ class MetricsRegistry(MetricRegistry):
             for name, sketch in other._sketches.items():
                 self.sketch(name, sketch.relative_accuracy).merge(sketch)
         return self
-
-    def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
-        """Counter values keyed by the name remainder after ``prefix``."""
-        return {
-            name[len(prefix) :]: counter.value
-            for name, counter in self._counters.items()
-            if name.startswith(prefix)
-        }
 
     def snapshot(self) -> Dict[str, object]:
         out = super().snapshot()

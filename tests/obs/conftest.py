@@ -6,6 +6,7 @@ fault regime ("chaos").  Runs are cached per profile so the golden,
 invariant, and coherence-bridge tests all analyze the same traces.
 """
 
+import dataclasses
 import random
 
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
@@ -27,7 +28,9 @@ SEED = 5
 _RUNNERS = {}
 
 
-def small_workload(seed=SEED):
+def small_workload(seed=SEED, **config):
+    """The fixed-seed workload; *config* overrides ``WorkloadConfig``
+    fields (transaction or GDPR mixes) on top of the defaults."""
     catalog = generate_catalog(
         CatalogConfig(n_products=15), random.Random(seed)
     )
@@ -35,12 +38,15 @@ def small_workload(seed=SEED):
         UserPopulationConfig(n_users=6, consent_fraction=1.0),
         random.Random(seed + 1),
     )
-    config = WorkloadConfig(
-        duration=240.0,
-        session_rate=0.06,
-        mean_session_length=3.0,
-        think_time_mean=6.0,
-        write_rate=0.06,
+    config = dataclasses.replace(
+        WorkloadConfig(
+            duration=240.0,
+            session_rate=0.06,
+            mean_session_length=3.0,
+            think_time_mean=6.0,
+            write_rate=0.06,
+        ),
+        **config,
     )
     trace = WorkloadGenerator(catalog, users, config).generate(
         random.Random(seed + 2)

@@ -3,12 +3,16 @@
 Regression for a double-counting bug: the service worker's graceful-
 degradation path counted every stale-if-error/offline serving as a
 fresh cache "hit", so outages *raised* the reported hit ratio. Now
-degraded servings are tallied separately (``served_degraded_by_layer``,
-``serve.degraded.*`` counters) and excluded from the fresh-hit
-numerator.
+degraded servings are tallied separately (``served_degraded_by_layer``)
+and excluded from the fresh-hit numerator.
 """
 
+import pytest
+
 from repro.harness import RunResult
+from repro.harness.runner import _served_degraded
+from repro.http.headers import Headers
+from repro.http.messages import Response, Status
 from repro.obs import MetricsRegistry
 
 
@@ -50,3 +54,21 @@ class TestHitRatioExcludesDegraded:
         assert record["cache_hit_ratio"] == 0.5
         assert record["degraded_serve_ratio"] == 0.3
         assert record["served_degraded_by_layer"] == {"sw": 3}
+
+
+@pytest.mark.parametrize(
+    "mark, degraded",
+    [
+        (None, False),
+        ("X-Stale-If-Error", True),
+        ("X-SpeedKit-Offline", True),
+        ("X-Load-Shed", False),
+        ("X-Txn-Degraded", False),
+    ],
+)
+def test_runner_degraded_predicate(mark, degraded):
+    """One predicate decides both the degraded tally and goodput's
+    clean check; only the stale-if-error and offline marks count."""
+    headers = Headers({mark: "1"} if mark else {})
+    response = Response(status=Status.OK, headers=headers, version=1)
+    assert _served_degraded(response) is degraded

@@ -10,8 +10,8 @@ class TestMetricsRegistry:
     def test_is_a_metric_registry(self):
         registry = MetricsRegistry()
         assert isinstance(registry, MetricRegistry)
-        registry.counter("serve.layer.edge").inc(3)
-        assert registry.counter("serve.layer.edge").value == 3
+        registry.counter("transport.retries").inc(3)
+        assert registry.counter("transport.retries").value == 3
         registry.histogram("plt.all").observe(0.5)
         assert registry.histogram("plt.all").count == 1
 
@@ -28,16 +28,6 @@ class TestMetricsRegistry:
         registry.sketch("b")
         registry.sketch("a")
         assert registry.sketch_names() == ["a", "b"]
-
-    def test_counters_with_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("serve.layer.edge").inc(2)
-        registry.counter("serve.layer.origin").inc(5)
-        registry.counter("other").inc()
-        assert registry.counters_with_prefix("serve.layer.") == {
-            "edge": 2,
-            "origin": 5,
-        }
 
     def test_snapshot_includes_sketch_summaries(self):
         registry = MetricsRegistry()
