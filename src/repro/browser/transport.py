@@ -6,8 +6,7 @@ timeouts sampled from the topology's links; cache and origin logic is
 invoked synchronously at the simulated instant the message arrives.
 
 Fault handling lives at this layer because this is where messages
-exist: the optional ``faults`` schedule (a plain
-:class:`~repro.simnet.faults.FaultSchedule` or a full
+exist: the optional ``faults`` oracle (a
 :class:`~repro.faults.injector.FaultInjector`) decides which nodes
 fail, which traversals are lost, and which are slowed; the optional
 :class:`~repro.faults.retry.RetryPolicy` bounds how hard an origin
@@ -28,12 +27,13 @@ from typing import Generator, List, Optional, Sequence
 from repro.cdn.edge import EdgeCache
 from repro.cdn.network import Cdn
 from repro.http.freshness import conditional_request_for
-from repro.http.headers import Headers
+from repro.http.headers import LOAD_SHED_HEADER, Headers
 from repro.http.messages import (
     Method,
     Request,
     Response,
     Status,
+    degraded_mark,
     make_not_modified,
     revalidates,
 )
@@ -41,7 +41,7 @@ from repro.http.url import URL
 from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
-from repro.overload.priority import LOAD_SHED_HEADER, classify_request
+from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
 from repro.simnet.topology import Topology
 
@@ -63,11 +63,9 @@ def _content_length(response: Response) -> int:
 def _is_degraded(response: Response) -> bool:
     """Whether a response is a degraded serving (stale-if-error or a
     load-shed synthesis) — degraded answers must never be 304-converted
-    into a confirmation that the client's copy is current."""
-    return (
-        response.headers.get("X-Stale-If-Error") is not None
-        or response.headers.get(LOAD_SHED_HEADER) is not None
-    )
+    into a confirmation that the client's copy is current. (Offline
+    copies are made by the service worker, above this layer.)"""
+    return degraded_mark(response) in ("shed", "stale-if-error")
 
 
 class Transport:
@@ -141,25 +139,23 @@ class Transport:
 
     # -- fault queries -----------------------------------------------------
     #
-    # Looked up with ``getattr`` so a plain FaultSchedule (is_down only)
-    # and ``faults=None`` both keep working; the fallbacks never touch
-    # any RNG, so the fault-free draw sequence is unchanged.
+    # ``faults=None`` is the fault-free fast path; an injector with zero
+    # rates draws no coin either, so the draw sequence is unchanged.
 
     def _node_fails(self, node: str) -> bool:
-        if self.faults is None:
-            return False
-        should_fail = getattr(self.faults, "should_fail", None)
-        if should_fail is not None:
-            return should_fail(node, self.env.now)
-        return self.faults.is_down(node, self.env.now)
+        return self.faults is not None and self.faults.should_fail(
+            node, self.env.now
+        )
 
     def _loses_message(self, sender: str, receiver: str) -> bool:
-        loses = getattr(self.faults, "loses_message", None)
-        return loses is not None and loses(sender, receiver)
+        return self.faults is not None and self.faults.loses_message(
+            sender, receiver
+        )
 
     def _latency_factor(self, sender: str, receiver: str) -> float:
-        factor = getattr(self.faults, "latency_factor", None)
-        return factor(sender, receiver) if factor is not None else 1.0
+        if self.faults is None:
+            return 1.0
+        return self.faults.latency_factor(sender, receiver)
 
     # -- origin exchange ---------------------------------------------------
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.http.freshness import is_cacheable
-from repro.http.messages import Request, Response, Status
-from repro.overload.priority import LOAD_SHED_HEADER
+from repro.http.headers import STALE_IF_ERROR_HEADER
+from repro.http.messages import Request, Response, Status, degraded_mark
 from repro.sim.metrics import MetricRegistry
 
 #: Called with ``(cache_key, response, now)`` after every admission.
@@ -126,7 +126,7 @@ class HttpCache:
             return None
         response = entry.response.copy()
         response.served_by = self.name
-        response.headers["X-Stale-If-Error"] = "1"
+        response.headers[STALE_IF_ERROR_HEADER] = "1"
         self._count("stale_if_error")
         return response
 
@@ -154,8 +154,7 @@ class HttpCache:
         """
         if (
             response.status == Status.OK
-            and response.headers.get("X-Stale-If-Error") is None
-            and response.headers.get(LOAD_SHED_HEADER) is None
+            and degraded_mark(response) not in ("shed", "stale-if-error")
             and is_cacheable(response, shared=self.shared)
         ):
             key = request.url.cache_key()

@@ -7,21 +7,20 @@ and reproducible), while per-message coin flips (link loss, latency
 spikes, brownout 5xx) are drawn lazily from a *separate* seeded stream
 so the fault decisions never perturb the simulation's own RNG streams.
 
-It subclasses :class:`~repro.simnet.faults.FaultSchedule`, so every
-existing consumer of ``is_down`` (the transport's origin check, the
-sketch client) works unchanged; the richer queries — ``should_fail``,
-``loses_message``, ``latency_factor`` — are looked up with ``getattr``
-by the transport, so a plain hand-built ``FaultSchedule`` still plugs
-into the same seam.
+It is the only fault protocol: the transport asks it ``should_fail``,
+``loses_message`` and ``latency_factor``, and the sketch client asks
+``is_down``. Extra windows — the scenario's single ``outage`` knob, or
+a hand-built schedule in a test — are declared with :meth:`add_outage`
+on an injector built from the inactive ``FaultProfile()``, which draws
+no coin at all.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.faults.profiles import FaultProfile
-from repro.simnet.faults import FaultSchedule
 
 #: Decorrelates the decision stream from the window-placement stream.
 _DECISION_SALT = 0x5EED_FA17
@@ -52,7 +51,7 @@ def _draw_windows(
         yield start, start + width
 
 
-class FaultInjector(FaultSchedule):
+class FaultInjector:
     """A profile bound to one run's duration, PoP set, and seed."""
 
     def __init__(
@@ -62,11 +61,12 @@ class FaultInjector(FaultSchedule):
         pop_names: Sequence[str] = (),
         seed: int = 0,
     ) -> None:
-        super().__init__()
         if duration < 0:
             raise ValueError(f"duration must be >= 0: {duration}")
         self.profile = profile
         self.duration = duration
+        #: Half-open ``(start, end)`` outage windows per node name.
+        self.outages: Dict[str, List[Tuple[float, float]]] = {}
         placement = random.Random(seed)
         for start, end in _draw_windows(
             placement,
@@ -82,6 +82,22 @@ class FaultInjector(FaultSchedule):
             ):
                 self.add_outage(pop, start, end)
         self._decisions = random.Random(seed ^ _DECISION_SALT)
+
+    # -- the outage schedule -----------------------------------------------
+
+    def add_outage(self, node: str, start: float, end: float) -> None:
+        """Declare that ``node`` is down during [start, end)."""
+        if end <= start:
+            raise ValueError(f"empty outage window [{start}, {end})")
+        self.outages.setdefault(node, []).append((start, end))
+
+    def is_down(self, node: str, at: float) -> bool:
+        return any(
+            start <= at < end for start, end in self.outages.get(node, ())
+        )
+
+    def total_downtime(self, node: str) -> float:
+        return sum(end - start for start, end in self.outages.get(node, ()))
 
     # -- per-request fault decisions --------------------------------------
 

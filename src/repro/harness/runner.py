@@ -11,12 +11,11 @@ from repro.browser.transport import Transport
 from repro.cdn.network import Cdn
 from repro.coherence.checker import DeltaAtomicityChecker
 from repro.coherence.client import SketchClient
-from repro.http.messages import Method, Request, Status
+from repro.http.messages import Method, Request, Status, degraded_mark
 from repro.http.url import URL
 from repro.invalidation.pipeline import InvalidationPipeline
 from repro.obs import MetricsRegistry, NOOP_TRACER, RecordingTracer
 from repro.origin.server import OriginServer
-from repro.overload.priority import LOAD_SHED_HEADER
 from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
 from repro.sim.rng import RngStreams
@@ -57,13 +56,6 @@ from repro.workload.users import User, UserPopulation
 #: serve a copy that a concurrent write supersedes while the bytes are
 #: on the wire). One second generously covers the slowest modeled link.
 _SLACK = 1.0
-
-
-def _served_degraded(response) -> bool:
-    """Did a degraded fallback (stale-if-error, offline mode) serve
-    *response*? Such servings are availability wins, not fresh hits."""
-    headers = response.headers
-    return "X-Stale-If-Error" in headers or "X-SpeedKit-Offline" in headers
 
 
 class SimulationRunner:
@@ -227,30 +219,29 @@ class SimulationRunner:
         )
 
     def _build_faults(self):
-        """The run's fault schedule (or ``None`` in the perfect world).
+        """The run's fault injector (or ``None`` in the perfect world).
 
         A configured fault profile builds a seeded
-        :class:`~repro.faults.injector.FaultInjector`; the legacy
-        single-window ``outage`` knob composes on top of it, or stands
-        alone as a plain :class:`~repro.simnet.faults.FaultSchedule`.
+        :class:`~repro.faults.injector.FaultInjector`; the single-window
+        ``outage`` knob adds one origin window to it (to an injector of
+        the inactive ``FaultProfile()`` when no profile is set).
         """
         spec = self.spec
-        if spec.fault_profile is not None and spec.fault_profile.is_active:
-            injector = spec.fault_profile.build(
-                duration=self.trace.duration,
-                pop_names=(
-                    self._pop_names if spec.scenario.uses_cdn else ()
-                ),
-                seed=spec.seed,
-            )
-            if spec.outage is not None:
-                injector.add_outage("origin", *spec.outage)
-            return injector
-        if spec.outage is not None:
-            from repro.simnet.faults import FaultSchedule
+        profile = spec.fault_profile
+        if spec.outage is None and (profile is None or not profile.is_active):
+            return None
+        if profile is None:
+            from repro.faults import FaultProfile
 
-            return FaultSchedule.origin_outage(*spec.outage)
-        return None
+            profile = FaultProfile()
+        injector = profile.build(
+            duration=self.trace.duration,
+            pop_names=self._pop_names if spec.scenario.uses_cdn else (),
+            seed=spec.seed,
+        )
+        if spec.outage is not None:
+            injector.add_outage("origin", *spec.outage)
+        return injector
 
     def _build(self) -> None:
         spec = self.spec
@@ -849,8 +840,7 @@ class SimulationRunner:
             # degraded fallback) *and* the page met the profile's SLO.
             clean = not any(
                 response.status.is_server_error
-                or LOAD_SHED_HEADER in response.headers
-                or _served_degraded(response)
+                or degraded_mark(response) is not None
                 for response in result.responses
             )
             if clean and result.plt <= self._overload_slo:
@@ -915,7 +905,8 @@ class SimulationRunner:
         if response.status.is_server_error:
             self.result.failed_responses += 1
             return
-        if LOAD_SHED_HEADER in response.headers:
+        mark = degraded_mark(response)
+        if mark == "shed":
             # A synthesized shed answer: marked, versionless, and
             # counted on its own — it must not pollute the serve/hit
             # ledgers or the coherence read log.
@@ -929,13 +920,13 @@ class SimulationRunner:
         kind = response.headers.get("X-Resource-Kind", "unknown")
         per_kind = self.result.served_by_kind.setdefault(layer, {})
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        if _served_degraded(response):
+        if mark is not None:
             # Degraded servings (stale-if-error, offline mode) are
             # availability wins, not fresh cache hits — they are
             # tallied separately so hit ratios stay honest.
             degraded = self.result.served_degraded_by_layer
             degraded[layer] = degraded.get(layer, 0) + 1
-        if "X-SpeedKit-Offline" in response.headers:
+        if mark == "offline":
             # Offline serving explicitly trades Δ-atomicity for
             # availability; these reads are accounted, not checked.
             return

@@ -92,7 +92,7 @@ class ScenarioSpec:
     #: Fault regime for the run (see :mod:`repro.faults`): origin
     #: outages/brownouts, PoP failures, link loss/latency spikes,
     #: storage read errors. ``None`` keeps the perfect world. Composes
-    #: with the legacy single-window ``outage`` knob.
+    #: with the single-window ``outage`` knob.
     fault_profile: Optional["FaultProfile"] = None
     #: Grace window (seconds) for bounded stale-if-error serving at the
     #: edge and in the service worker; widens the checked Δ bound by
@@ -140,6 +140,20 @@ class ScenarioSpec:
     #: Off by default — the no-op tracer keeps the hot path free.
     trace_requests: bool = False
     label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.outage is None:
+            return
+        try:
+            start, end = self.outage
+            valid = 0 <= start < end
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValueError(
+                "ScenarioSpec.outage must be a (start, end) pair with "
+                f"0 <= start < end: {self.outage!r}"
+            )
 
     @property
     def name(self) -> str:

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
+#: Degraded-response marks (read by
+#: :func:`repro.http.messages.degraded_mark`): a load-shed synthesis,
+#: a bounded-stale copy after a failed fetch, an offline-mode copy.
+LOAD_SHED_HEADER = "X-Load-Shed"
+STALE_IF_ERROR_HEADER = "X-Stale-If-Error"
+OFFLINE_HEADER = "X-SpeedKit-Offline"
+
 
 class Headers:
     """A mapping of header names to values, case-insensitive on names.

@@ -7,7 +7,12 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.http.cache_control import CacheControl
-from repro.http.headers import Headers
+from repro.http.headers import (
+    LOAD_SHED_HEADER,
+    OFFLINE_HEADER,
+    STALE_IF_ERROR_HEADER,
+    Headers,
+)
 from repro.http.url import URL
 
 
@@ -149,6 +154,24 @@ class Response:
             f"Response({int(self.status)} {self.url} v{self.version}"
             f" via {self.served_by})"
         )
+
+
+def degraded_mark(response: Response) -> Optional[str]:
+    """Which degraded fallback produced ``response``, if any.
+
+    ``"shed"`` (an admission-control synthesis), ``"stale-if-error"``
+    (a bounded-stale copy after a failed fetch) or ``"offline"`` (the
+    service worker's unbounded last resort), checked in that order;
+    ``None`` for a regular answer.
+    """
+    headers = response.headers
+    if LOAD_SHED_HEADER in headers:
+        return "shed"
+    if STALE_IF_ERROR_HEADER in headers:
+        return "stale-if-error"
+    if OFFLINE_HEADER in headers:
+        return "offline"
+    return None
 
 
 def revalidates(request: Request, stored: Response) -> bool:

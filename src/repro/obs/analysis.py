@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.http.messages import degraded_mark
+
 __all__ = [
     "critical_path_attribution",
     "overload_accounting",
@@ -46,12 +48,10 @@ def response_attrs(response) -> Dict[str, Any]:
         "version_key": headers.get("X-Version-Key"),
         "kind": headers.get("X-Resource-Kind"),
     }
-    if "X-Stale-If-Error" in headers:
-        attrs["degraded"] = True
-    if "X-SpeedKit-Offline" in headers:
-        attrs["offline"] = True
-    if "X-Load-Shed" in headers:
-        attrs["shed"] = True
+    mark = degraded_mark(response)
+    if mark is not None:
+        # Stale-if-error is flagged "degraded"; the others by name.
+        attrs["degraded" if mark == "stale-if-error" else mark] = True
     return attrs
 
 

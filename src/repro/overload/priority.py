@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 
+from repro.http.headers import LOAD_SHED_HEADER
 from repro.http.messages import Method, Request
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
     "PriorityClass",
     "classify_request",
 ]
-
-#: The degraded-response mark a shed request's synthesized answer
-#: carries (style of ``X-Stale-If-Error`` / ``X-Txn-Degraded``).
-LOAD_SHED_HEADER = "X-Load-Shed"
 
 #: The personalization signal, mirroring
 #: :attr:`repro.cdn.edge.EdgeCache.PASS_HEADERS`. Kept as a local copy

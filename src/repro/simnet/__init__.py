@@ -13,7 +13,6 @@ from repro.simnet.delay import (
     LogNormalDelay,
     UniformDelay,
 )
-from repro.simnet.faults import FaultSchedule, OutageWindow
 from repro.simnet.profiles import (
     CONNECTION_PROFILES,
     ConnectionProfile,
@@ -26,11 +25,9 @@ __all__ = [
     "ConnectionProfile",
     "ConstantDelay",
     "Delay",
-    "FaultSchedule",
     "Link",
     "LogNormalDelay",
     "NodeKind",
-    "OutageWindow",
     "Topology",
     "UniformDelay",
     "build_web_topology",

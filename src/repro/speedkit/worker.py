@@ -27,7 +27,8 @@ from repro.browser.transport import Transport
 from repro.coherence.client import SketchClient
 from repro.coherence.decision import ReadDecision, decide
 from repro.http.freshness import conditional_request_for
-from repro.http.messages import Request, Response, Status
+from repro.http.headers import OFFLINE_HEADER
+from repro.http.messages import Request, Response, Status, degraded_mark
 from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import SEGMENT_PARAM
@@ -253,7 +254,7 @@ class ServiceWorkerProxy:
                 # counted by its own stale_if_error/offline tallies, so
                 # the hit ratio only reports verified-fresh servings.
                 span.set(
-                    verdict=self._degraded_verdict(degraded),
+                    verdict=degraded_mark(degraded),
                     version=degraded.version,
                 )
                 return degraded
@@ -294,19 +295,13 @@ class ServiceWorkerProxy:
             degraded = self._serve_degraded(scrubbed, cached)
             if degraded is not None:
                 span.set(
-                    verdict=self._degraded_verdict(degraded),
+                    verdict=degraded_mark(degraded),
                     version=degraded.version,
                 )
                 return degraded
         admitted = self.cache.admit(scrubbed, response, self._now)
         yield from self._charge_cache_latency()
         return admitted
-
-    @staticmethod
-    def _degraded_verdict(response: Response) -> str:
-        if "X-SpeedKit-Offline" in response.headers:
-            return "offline"
-        return "stale-if-error"
 
     def _serve_degraded(
         self, scrubbed: Request, cached: Optional[Response]
@@ -340,7 +335,7 @@ class ServiceWorkerProxy:
         """
         self._count("offline_served")
         response = cached.copy()
-        response.headers["X-SpeedKit-Offline"] = "1"
+        response.headers[OFFLINE_HEADER] = "1"
         return response
 
     def _swr_allowed(self, scrubbed: Request, cached: Response) -> bool:
@@ -386,7 +381,7 @@ class ServiceWorkerProxy:
             degraded = self._serve_degraded(scrubbed, cached)
             if degraded is not None:
                 span.set(
-                    verdict=self._degraded_verdict(degraded),
+                    verdict=degraded_mark(degraded),
                     version=degraded.version,
                 )
                 return degraded

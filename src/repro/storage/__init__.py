@@ -15,14 +15,15 @@ above the protocol. Shipped engines:
 * :class:`InMemoryBackend` — the classic single ``OrderedDict`` map;
 * :class:`ShardedBackend` — N hash-partitioned sub-engines with
   optional per-shard capacity (concurrent-map semantics);
-* :class:`SimulatedRemoteBackend` — a Redis-like remote KV store whose
+* :class:`BatchedRemoteBackend` — a Redis-like remote KV store whose
   per-operation latency is drawn from a ``simnet``-style distribution,
-  so backend cost shows up in PLT and invalidation latency;
-* :class:`BatchedRemoteBackend` — the pipelined variant: multi-key
+  so backend cost shows up in PLT and invalidation latency. Multi-key
   operations (``get_many``/``put_many``/``remove_many``) and coalesced
   single-key calls are charged one round trip per flushed batch plus a
   per-key marginal cost, and with ``overlap`` enabled the accrued
-  latency hides under concurrent network transit at the drain points;
+  latency hides under concurrent network transit at the drain points.
+  The ``remote`` kind is this engine with a one-key window and no
+  per-key cost: one full round trip per operation;
 * :class:`WriteBehindBackend` — write-behind over the batched engine:
   mutations acknowledge immediately from a local buffer, queue into
   flush epochs, and a background flusher drains them to the wrapped
@@ -41,7 +42,6 @@ from repro.storage.backend import (
 )
 from repro.storage.batched import BatchedRemoteBackend
 from repro.storage.factory import BACKEND_KINDS, BackendSpec
-from repro.storage.remote import SimulatedRemoteBackend
 from repro.storage.sharded import ShardedBackend
 from repro.storage.writebehind import WriteBehindBackend
 
@@ -53,6 +53,5 @@ __all__ = [
     "EvictionListener",
     "InMemoryBackend",
     "ShardedBackend",
-    "SimulatedRemoteBackend",
     "WriteBehindBackend",
 ]

@@ -1,12 +1,14 @@
-"""Batched remote KV engine: pipelined multi-key operations.
+"""Remote KV engine: Redis-like storage with pipelined operations.
 
-The serialized :class:`~repro.storage.remote.SimulatedRemoteBackend`
-charges every get/put its own round trip, so a multi-asset page or a
-fan-out purge pays N full round trips. This engine models a pipelined
-client (Redis MGET/MSET, pipelined DEL): keys are coalesced into
-*batches*, and the latency model charges **one round trip per flushed
-batch plus a small per-key marginal cost** — the amortization every
-real batched protocol provides.
+Wraps any local engine and charges every protocol operation a latency
+drawn from a :class:`~repro.simnet.delay.Delay`; the cost accrues in a
+pending pool that the transport drains into simulated time, so backend
+choice shifts page load times and invalidation latency. The engine
+models a pipelined client (Redis MGET/MSET, pipelined DEL): keys are
+coalesced into *batches*, and the latency model charges **one round
+trip per flushed batch plus a small per-key marginal cost**. With a
+one-key window and no per-key cost it is the serialized client — one
+full round trip per operation — which the ``remote`` kind builds.
 
 Batching mechanics:
 
@@ -21,9 +23,8 @@ Batching mechanics:
   pipeline commands here), or at the next :meth:`drain_latency` call —
   draining is the moment the node yields to the network, which is when
   a real pipeline would be sent.
-* Reads and writes draw their round trips from the same delay
-  distributions as the serialized engine, so comparisons run at
-  identical per-op medians; only the *number* of round trips changes.
+* Reads and writes draw their round trips from separate delay
+  distributions; only the *number* of round trips depends on the window.
 
 With ``overlap=True`` the engine additionally clips the drained pool
 against the concurrent network transit passed to
@@ -39,11 +40,12 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.simnet.delay import Delay, LogNormalDelay
 from repro.storage.backend import CacheBackend, InMemoryBackend
-from repro.storage.remote import (
-    DEFAULT_READ_MEDIAN,
-    DEFAULT_SIGMA,
-    DEFAULT_WRITE_MEDIAN,
-)
+
+#: Default per-operation medians (seconds): an in-datacenter Redis
+#: round trip — sub-millisecond reads, slightly costlier writes.
+DEFAULT_READ_MEDIAN = 0.0008
+DEFAULT_WRITE_MEDIAN = 0.0012
+DEFAULT_SIGMA = 0.3
 
 #: Default per-key marginal cost (seconds) within a flushed batch — a
 #: few dozen microseconds of parse/queue time per pipelined key,

@@ -20,13 +20,10 @@ from repro.storage.backend import CacheBackend, InMemoryBackend
 from repro.storage.batched import (
     DEFAULT_BATCH_WINDOW,
     DEFAULT_PER_KEY_COST,
-    BatchedRemoteBackend,
-)
-from repro.storage.remote import (
     DEFAULT_READ_MEDIAN,
     DEFAULT_SIGMA,
     DEFAULT_WRITE_MEDIAN,
-    SimulatedRemoteBackend,
+    BatchedRemoteBackend,
 )
 from repro.storage.sharded import ShardedBackend
 from repro.storage.writebehind import (
@@ -132,9 +129,14 @@ class BackendSpec:
                 overlap=self.overlap,
                 rng=rng,
             )
-        return SimulatedRemoteBackend(
+        # "remote": the serialized client — one full round trip per
+        # operation, nothing coalesced, nothing hidden under transit.
+        return BatchedRemoteBackend(
             read_delay=read_delay,
             write_delay=write_delay,
+            per_key_cost=0.0,
+            batch_window=1,
+            overlap=False,
             rng=rng,
         )
 

@@ -8,15 +8,16 @@ from repro.cdn import CacheStore, EvictionPolicy
 from repro.http import Headers, Response, Status, URL
 from repro.simnet.delay import ConstantDelay
 from repro.storage import (
+    BackendSpec,
+    BatchedRemoteBackend,
     InMemoryBackend,
     ShardedBackend,
-    SimulatedRemoteBackend,
 )
 
 ENGINE_FACTORIES = {
     "inmemory": InMemoryBackend,
     "sharded": lambda: ShardedBackend(n_shards=4),
-    "remote": lambda: SimulatedRemoteBackend(rng=random.Random(5)),
+    "remote": lambda: BackendSpec(kind="remote", seed=5).build(),
 }
 
 
@@ -188,7 +189,9 @@ class TestLfuOverEngines:
 
 class TestRemoteCostSurface:
     def test_drain_latency_proxies_backend(self):
-        backend = SimulatedRemoteBackend(
+        backend = BatchedRemoteBackend(
+            batch_window=1,
+            per_key_cost=0.0,
             read_delay=ConstantDelay(0.001),
             write_delay=ConstantDelay(0.002),
         )

@@ -1,6 +1,57 @@
 """Tests for the seeded fault injector: windows, determinism, coins."""
 
-from repro.faults import FaultProfile
+import pytest
+
+from repro.faults import FaultInjector, FaultProfile
+
+
+def hand_built():
+    """An injector with no random faults: windows come only from
+    :meth:`FaultInjector.add_outage`."""
+    return FaultInjector(FaultProfile(), duration=3600.0)
+
+
+class TestHandBuiltSchedule:
+    def test_empty_and_reversed_windows_rejected(self):
+        injector = hand_built()
+        with pytest.raises(ValueError, match="empty outage window"):
+            injector.add_outage("origin", 10.0, 10.0)
+        with pytest.raises(ValueError, match="empty outage window"):
+            injector.add_outage("origin", 10.0, 5.0)
+        assert injector.outages == {}
+
+    def test_window_covers_half_open_interval(self):
+        injector = hand_built()
+        injector.add_outage("origin", 10.0, 20.0)
+        assert injector.is_down("origin", 10.0)
+        assert injector.is_down("origin", 19.999)
+        assert not injector.is_down("origin", 20.0)
+        assert not injector.is_down("origin", 9.999)
+
+    def test_is_down_per_node(self):
+        injector = hand_built()
+        injector.add_outage("origin", 100.0, 200.0)
+        assert injector.is_down("origin", 150.0)
+        assert not injector.is_down("origin", 50.0)
+        assert not injector.is_down("edge", 150.0)
+        assert injector.should_fail("origin", 150.0)
+        assert not injector.should_fail("edge", 150.0)
+
+    def test_multiple_windows(self):
+        injector = hand_built()
+        injector.add_outage("origin", 0.0, 10.0)
+        injector.add_outage("origin", 50.0, 60.0)
+        assert injector.is_down("origin", 5.0)
+        assert not injector.is_down("origin", 20.0)
+        assert injector.is_down("origin", 55.0)
+        assert injector.total_downtime("origin") == 20.0
+        assert injector.total_downtime("never") == 0.0
+
+    def test_single_origin_window(self):
+        injector = hand_built()
+        injector.add_outage("origin", 100.0, 130.0)
+        assert injector.is_down("origin", 110.0)
+        assert injector.total_downtime("origin") == 30.0
 
 
 class TestOutageWindows:
@@ -56,8 +107,8 @@ class TestDecisions:
     def test_should_fail_inside_outage(self):
         profile = FaultProfile(origin_outage_fraction=0.5)
         injector = profile.build(duration=100.0, seed=0)
-        window = injector.outages["origin"][0]
-        assert injector.should_fail("origin", window.start + 0.01)
+        start, _end = injector.outages["origin"][0]
+        assert injector.should_fail("origin", start + 0.01)
 
     def test_brownout_rate_roughly_respected(self):
         profile = FaultProfile(origin_brownout_rate=0.2)

@@ -3,15 +3,26 @@
 import pytest
 
 from repro.cdn import Cdn
-from repro.faults import CircuitBreaker, FaultProfile, RetryPolicy
+from repro.faults import (
+    CircuitBreaker,
+    FaultInjector,
+    FaultProfile,
+    RetryPolicy,
+)
 from repro.http import Request, Status, URL
-from repro.simnet import FaultSchedule
 
 from tests.faults.conftest import CLIENT_EDGE, CLIENT_ORIGIN, run_fetch
 
 
 def get(path):
     return Request.get(URL.parse(path))
+
+
+def node_down(node, start, end):
+    """A hand-built schedule: one outage window, no random faults."""
+    faults = FaultInjector(FaultProfile(), duration=3600.0)
+    faults.add_outage(node, start, end)
+    return faults
 
 
 def lossy(rate=1.0):
@@ -72,7 +83,7 @@ class TestRetryAgainstOutage:
             budget=10.0,
         )
         transport = make_transport(
-            faults=FaultSchedule.origin_outage(0.0, 0.2), retry=policy
+            faults=node_down("origin", 0.0, 0.2), retry=policy
         )
         response = run_fetch(
             env, transport.fetch_direct("client", get("/page/1"))
@@ -94,7 +105,7 @@ class TestRetryAgainstOutage:
             budget=0.15,
         )
         transport = make_transport(
-            faults=FaultSchedule.origin_outage(0.0, 100.0), retry=policy
+            faults=node_down("origin", 0.0, 100.0), retry=policy
         )
         response = run_fetch(
             env, transport.fetch_direct("client", get("/page/1"))
@@ -122,9 +133,7 @@ class TestLatencySpikes:
 
 class TestEdgeFailover:
     def edge_down(self, start=0.0, end=100.0):
-        faults = FaultSchedule()
-        faults.add_outage("edge", start, end)
-        return faults
+        return node_down("edge", start, end)
 
     def test_dark_pop_fails_over_to_origin(
         self, env, make_transport, cdn, metrics
@@ -224,7 +233,7 @@ class TestEdgeFailover:
 
 class TestStaleIfError:
     def warm_then_kill_origin(self, env, make_transport, cdn, grace):
-        faults = FaultSchedule.origin_outage(350.0, 10_000.0)
+        faults = node_down("origin", 350.0, 10_000.0)
         transport = make_transport(faults=faults, stale_if_error=grace)
         first = run_fetch(
             env,

@@ -9,6 +9,7 @@ rate 2 on speed-kit, where the unscaled infrastructure latencies
 TTL/freshness boundary that the verdict stream is bit-identical.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -157,6 +158,28 @@ def test_time_scaled_rejects_nonpositive():
     spec = Spec(scenario=Scenario.SPEED_KIT, time_scale=-1.0)
     with pytest.raises(ValueError, match="positive"):
         spec.time_scaled()
+
+
+@pytest.mark.parametrize(
+    "outage",
+    [(200.0, 100.0), (100.0, 100.0), (-5.0, 10.0), (1.0, 2.0, 3.0), 5.0],
+)
+def test_bad_outage_rejected_at_construction(outage):
+    with pytest.raises(ValueError, match=r"ScenarioSpec\.outage"):
+        Spec(scenario=Scenario.SPEED_KIT, outage=outage)
+
+
+def test_time_scaled_outage_is_validated():
+    # ``time_scaled`` rebuilds through ``replace``, so the scaled
+    # window passes the same check as a hand-written one.
+    spec = Spec(
+        scenario=Scenario.SPEED_KIT, outage=(10.0, 20.0), time_scale=0.5
+    )
+    assert spec.time_scaled().outage == (5.0, 10.0)
+    # The smallest subnormal window halves to the empty [0, 0).
+    tiny = dataclasses.replace(spec, outage=(0.0, 5e-324))
+    with pytest.raises(ValueError, match=r"ScenarioSpec\.outage"):
+        tiny.time_scaled()
 
 
 def test_runner_folds_time_scale_on_construction(workload):

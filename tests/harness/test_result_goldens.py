@@ -43,10 +43,33 @@ def _config(name):
             dataclasses.replace(base, backend=BackendSpec(kind="write-behind")),
             {},
         )
+    if name == "outage":
+        # One origin window long enough that the ledger carries both
+        # stale-if-error and offline servings next to 5xx failures.
+        return (
+            dataclasses.replace(
+                base, outage=(80.0, 200.0), stale_if_error=120.0
+            ),
+            {},
+        )
+    if name == "remote":
+        return (
+            dataclasses.replace(base, backend=BackendSpec(kind="remote")),
+            {},
+        )
     raise ValueError(name)
 
 
-CONFIGS = ("none", "chaos", "overload", "serializable", "gdpr", "write-behind")
+CONFIGS = (
+    "none",
+    "chaos",
+    "overload",
+    "serializable",
+    "gdpr",
+    "write-behind",
+    "outage",
+    "remote",
+)
 
 
 def _run(name, mode):

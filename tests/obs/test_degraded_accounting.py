@@ -10,9 +10,8 @@ and excluded from the fresh-hit numerator.
 import pytest
 
 from repro.harness import RunResult
-from repro.harness.runner import _served_degraded
 from repro.http.headers import Headers
-from repro.http.messages import Response, Status
+from repro.http.messages import Response, Status, degraded_mark
 from repro.obs import MetricsRegistry
 
 
@@ -57,18 +56,31 @@ class TestHitRatioExcludesDegraded:
 
 
 @pytest.mark.parametrize(
-    "mark, degraded",
+    "header, mark",
     [
-        (None, False),
-        ("X-Stale-If-Error", True),
-        ("X-SpeedKit-Offline", True),
-        ("X-Load-Shed", False),
-        ("X-Txn-Degraded", False),
+        (None, None),
+        ("X-Stale-If-Error", "stale-if-error"),
+        ("X-SpeedKit-Offline", "offline"),
+        ("X-Load-Shed", "shed"),
+        ("X-Txn-Degraded", None),
     ],
 )
-def test_runner_degraded_predicate(mark, degraded):
-    """One predicate decides both the degraded tally and goodput's
-    clean check; only the stale-if-error and offline marks count."""
-    headers = Headers({mark: "1"} if mark else {})
+def test_degraded_mark(header, mark):
+    """One predicate names the mark cache admission, 304 conversion,
+    the degraded tally, goodput's clean check and span attributes act
+    on; a degraded transaction outcome is not a degraded serving."""
+    headers = Headers({header: "1"} if header else {})
     response = Response(status=Status.OK, headers=headers, version=1)
-    assert _served_degraded(response) is degraded
+    assert degraded_mark(response) == mark
+
+
+def test_degraded_mark_precedence():
+    response = Response(
+        status=Status.OK,
+        headers=Headers(
+            {"X-SpeedKit-Offline": "1", "X-Stale-If-Error": "1"}
+        ),
+    )
+    assert degraded_mark(response) == "stale-if-error"
+    response.headers["X-Load-Shed"] = "1"
+    assert degraded_mark(response) == "shed"

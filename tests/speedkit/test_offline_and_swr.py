@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.browser import Transport
+from repro.faults import FaultInjector, FaultProfile
 from repro.http import Request, Status, URL
-from repro.simnet import FaultSchedule
 from repro.simnet.topology import two_tier
 from repro.speedkit import SpeedKitConfig
 
@@ -22,7 +22,7 @@ def faulty_transport(env, topology, backend):
     transport = Transport(
         env, topology, backend.server, random.Random(0)
     )
-    transport.faults = FaultSchedule()
+    transport.faults = FaultInjector(FaultProfile(), duration=3600.0)
     return transport
 
 
@@ -96,7 +96,8 @@ class TestSketchServiceOutage:
 
         from repro.coherence import SketchClient
 
-        faults = FaultSchedule.origin_outage(0.0, 3600.0)
+        faults = FaultInjector(FaultProfile(), duration=3600.0)
+        faults.add_outage("origin", 0.0, 3600.0)
         client = SketchClient(
             env,
             backend.sketch,

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.browser import Transport
+from repro.faults import FaultInjector, FaultProfile
 from repro.http import Request, Status, URL
-from repro.simnet import FaultSchedule
 
 from tests.speedkit.conftest import run
 
@@ -18,7 +18,7 @@ def get(path):
 @pytest.fixture
 def faulty_transport(env, topology, backend):
     transport = Transport(env, topology, backend.server, random.Random(0))
-    transport.faults = FaultSchedule()
+    transport.faults = FaultInjector(FaultProfile(), duration=3600.0)
     return transport
 
 

@@ -1,17 +1,17 @@
 """Engine-specific behaviour: sharding, remote latency, the spec."""
 
 import random
+import zlib
 
 import pytest
 
-from repro.simnet.delay import ConstantDelay
+from repro.simnet.delay import ConstantDelay, LogNormalDelay
 from repro.storage import (
     BACKEND_KINDS,
     BackendSpec,
     BatchedRemoteBackend,
     InMemoryBackend,
     ShardedBackend,
-    SimulatedRemoteBackend,
 )
 from repro.storage.sharded import shard_index_of
 
@@ -94,9 +94,15 @@ class TestShardCapacity:
         assert len(backend) <= 8
 
 
+def one_key_remote(**kwargs):
+    """The ``remote`` kind: one round trip per operation, no per-key
+    cost, nothing coalesced."""
+    return BatchedRemoteBackend(batch_window=1, per_key_cost=0.0, **kwargs)
+
+
 class TestRemoteLatency:
     def _backend(self, read=0.001, write=0.002):
-        return SimulatedRemoteBackend(
+        return one_key_remote(
             read_delay=ConstantDelay(read),
             write_delay=ConstantDelay(write),
         )
@@ -135,8 +141,8 @@ class TestRemoteLatency:
         assert backend.pending_latency() == 0.0
 
     def test_latency_stream_is_deterministic(self):
-        first = SimulatedRemoteBackend(rng=random.Random(42))
-        second = SimulatedRemoteBackend(rng=random.Random(42))
+        first = one_key_remote(rng=random.Random(42))
+        second = one_key_remote(rng=random.Random(42))
         for backend in (first, second):
             for i in range(50):
                 backend.put(f"k{i}", i)
@@ -145,7 +151,7 @@ class TestRemoteLatency:
 
     def test_storage_delegates_to_inner(self):
         inner = InMemoryBackend()
-        backend = SimulatedRemoteBackend(inner=inner)
+        backend = one_key_remote(inner=inner)
         backend.put("k", "v", size=4)
         assert inner.get("k") == "v"
         assert inner.bytes_used == 4
@@ -168,9 +174,11 @@ class TestBackendSpec:
         sharded = BackendSpec(kind="sharded", n_shards=3).build()
         assert isinstance(sharded, ShardedBackend)
         assert sharded.n_shards == 3
-        assert isinstance(
-            BackendSpec(kind="remote").build(), SimulatedRemoteBackend
-        )
+        remote = BackendSpec(kind="remote").build()
+        assert isinstance(remote, BatchedRemoteBackend)
+        assert remote.batch_window == 1
+        assert remote.per_key_cost == 0.0
+        assert not remote.overlap
         batched = BackendSpec(
             kind="batched", batch_window=8, overlap=True
         ).build()
@@ -219,6 +227,41 @@ class TestBackendSpec:
                 backend.put(f"k{i}", i)
         assert a.total_latency == pytest.approx(same.total_latency)
         assert a.total_latency != pytest.approx(b.total_latency)
+
+    def test_remote_kind_charges_one_round_trip_per_operation(self):
+        spec = BackendSpec(kind="remote", seed=3)
+        backend = spec.build(salt="edge:edge-1")
+        # Replay the engine's latency stream: every get/put/remove must
+        # cost exactly its own sampled round trip and nothing more.
+        rng = random.Random(3 ^ zlib.crc32(b"edge:edge-1"))
+        read = LogNormalDelay(
+            median=spec.read_latency, sigma=spec.latency_sigma
+        )
+        write = LogNormalDelay(
+            median=spec.write_latency, sigma=spec.latency_sigma
+        )
+        ops = (
+            (backend.get, ("a",), read),
+            (backend.get, ("b",), read),  # same direction: no coalescing
+            (backend.put, ("a", 1), write),
+            (backend.put, ("b", 2), write),
+            (backend.remove, ("a",), write),
+            (backend.get, ("b",), read),
+        )
+        expected = 0.0
+        for op, args, delay in ops:
+            before = backend.pending_latency()
+            op(*args)
+            round_trip = delay.sample(rng)
+            assert backend.pending_latency() - before == pytest.approx(
+                round_trip, rel=1e-12
+            )
+            expected += round_trip
+        assert backend.batches_flushed == len(ops)
+        assert backend.op_counts == {"get": 3, "put": 2, "remove": 1}
+        # Concurrent transit hides nothing: the whole pool is paid.
+        assert backend.drain_latency(concurrent=10.0) == expected
+        assert backend.overlap_hidden == 0.0
 
     def test_remote_spec_latency_params_apply(self):
         spec = BackendSpec(

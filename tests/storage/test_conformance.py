@@ -14,16 +14,22 @@ from repro.storage import (
     BatchedRemoteBackend,
     InMemoryBackend,
     ShardedBackend,
-    SimulatedRemoteBackend,
     WriteBehindBackend,
 )
+
+
+def one_key_remote(**kwargs):
+    """The ``remote`` kind: one round trip per operation, no per-key
+    cost, nothing coalesced."""
+    return BatchedRemoteBackend(batch_window=1, per_key_cost=0.0, **kwargs)
+
 
 ENGINE_FACTORIES = {
     "inmemory": InMemoryBackend,
     "sharded-1": lambda: ShardedBackend(n_shards=1),
     "sharded-4": lambda: ShardedBackend(n_shards=4),
-    "remote": lambda: SimulatedRemoteBackend(rng=random.Random(7)),
-    "remote-over-sharded": lambda: SimulatedRemoteBackend(
+    "remote": lambda: one_key_remote(rng=random.Random(7)),
+    "remote-over-sharded": lambda: one_key_remote(
         inner=ShardedBackend(n_shards=4), rng=random.Random(7)
     ),
     "batched": lambda: BatchedRemoteBackend(rng=random.Random(7)),
@@ -260,7 +266,7 @@ class TestEvictionHooks:
 
     def test_wrapped_engine_forwards_evictions(self):
         inner = ShardedBackend(n_shards=1, max_entries_per_shard=1)
-        backend = SimulatedRemoteBackend(
+        backend = one_key_remote(
             inner=inner,
             read_delay=ConstantDelay(0.001),
             write_delay=ConstantDelay(0.001),

@@ -12,13 +12,15 @@ import random
 import pytest
 
 from repro.simnet.delay import ConstantDelay
-from repro.storage.remote import SimulatedRemoteBackend
+from repro.storage.batched import BatchedRemoteBackend
 from repro.storage.sharded import ShardedBackend
 
 
 def _remote_sharded(n_shards):
     def factory():
-        return SimulatedRemoteBackend(
+        return BatchedRemoteBackend(
+            batch_window=1,
+            per_key_cost=0.0,
             read_delay=ConstantDelay(0.001),
             write_delay=ConstantDelay(0.001),
             rng=random.Random(0),
