@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.http.messages import Response
 from repro.origin.server import OriginServer
-from repro.sim.metrics import MetricRegistry
 
 
 @dataclass(frozen=True)
@@ -92,17 +91,11 @@ def version_regressions(
 class DeltaAtomicityChecker:
     """Checks reads against ground truth; accumulates statistics."""
 
-    def __init__(
-        self,
-        server: OriginServer,
-        delta: float,
-        metrics: Optional[MetricRegistry] = None,
-    ) -> None:
+    def __init__(self, server: OriginServer, delta: float) -> None:
         if delta < 0:
             raise ValueError(f"delta must be non-negative: {delta}")
         self.server = server
         self.delta = delta
-        self.metrics = metrics or MetricRegistry()
         self.records: List[ReadRecord] = []
         self.violations: List[ReadRecord] = []
 
@@ -141,12 +134,8 @@ class DeltaAtomicityChecker:
             issued_at=issued_at,
         )
         self.records.append(record)
-        self.metrics.histogram("coherence.staleness").observe(staleness)
-        if staleness > 0:
-            self.metrics.counter("coherence.stale_reads").inc()
         if violation:
             self.violations.append(record)
-            self.metrics.counter("coherence.violations").inc()
         return record
 
     # -- summaries ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.origin.server import OriginServer
-from repro.sim.metrics import MetricRegistry
 from repro.txn.levels import ConsistencyLevel
 
 #: One read inside a transaction record: (version_key, version, read_at).
@@ -48,13 +47,8 @@ class TxnRecord:
 class TxnConsistencyChecker:
     """Checks transactions against ground truth; accumulates verdicts."""
 
-    def __init__(
-        self,
-        server: OriginServer,
-        metrics: Optional[MetricRegistry] = None,
-    ) -> None:
+    def __init__(self, server: OriginServer) -> None:
         self.server = server
-        self.metrics = metrics or MetricRegistry()
         self.records: List[TxnRecord] = []
         self.fractured: List[TxnRecord] = []
         self.serialization_violations: List[TxnRecord] = []
@@ -83,21 +77,19 @@ class TxnConsistencyChecker:
             client=client,
         )
         self.records.append(record)
-        self.metrics.counter("txn.checked").inc()
         if record.achieved < record.requested and not record.degraded:
             self.silent_downgrades.append(record)
-            self.metrics.counter("txn.silent_downgrades").inc()
-        if record.achieved >= ConsistencyLevel.SNAPSHOT:
-            if self._is_fractured(record):
-                self.fractured.append(record)
-                self.metrics.counter("txn.fractured_reads").inc()
+        if (
+            record.achieved >= ConsistencyLevel.SNAPSHOT
+            and self._is_fractured(record)
+        ):
+            self.fractured.append(record)
         if (
             record.achieved is ConsistencyLevel.SERIALIZABLE
             and not record.degraded
+            and self._violates_serial_order(record)
         ):
-            if self._violates_serial_order(record):
-                self.serialization_violations.append(record)
-                self.metrics.counter("txn.serialization_violations").inc()
+            self.serialization_violations.append(record)
         return record
 
     # -- ground-truth invariants -------------------------------------------

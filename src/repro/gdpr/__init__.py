@@ -17,10 +17,11 @@ this package adds the two data-subject rights that act on data already
   mutating anything.
 
 Erasure *latency* and erasure *completeness* are the metrics that
-matter (Shastri et al., Shah et al.); both are threaded through
-:mod:`repro.obs` — latency as the ``gdpr.erase.latency`` quantile
-sketch, completeness as the ``gdpr.erase.residuals`` counter a single
-surviving byte increments.
+matter (Shastri et al., Shah et al.). Latency is the
+``gdpr.erase.latency`` quantile sketch in the metrics registry.
+Completeness is :attr:`ErasureReport.residual_count`, which the harness
+sums into its one ledger field, ``RunResult.erasure_residuals``: a
+single surviving byte makes it nonzero.
 """
 
 from repro.gdpr.erasure import (

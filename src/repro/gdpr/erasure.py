@@ -310,7 +310,10 @@ class ErasureCoordinator:
         )
 
         self.erased_users.append(user_id)
-        self._record_erase(report)
+        if self.metrics is not None:
+            self.metrics.sketch("gdpr.erase.latency").observe(
+                report.simulated_latency
+            )
         span.set(
             removed=report.entries_removed,
             residuals=report.residual_count,
@@ -318,27 +321,6 @@ class ErasureCoordinator:
         )
         self.tracer.finish(span, now + report.simulated_latency)
         return report
-
-    def _record_erase(self, report: ErasureReport) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter("gdpr.erase.count").inc()
-        self.metrics.counter("gdpr.erase.removed").inc(
-            report.entries_removed
-        )
-        self.metrics.counter("gdpr.erase.replicas_dropped").inc(
-            report.replicas_dropped
-        )
-        self.metrics.counter("gdpr.erase.queued_scrubbed").inc(
-            sum(report.queued_scrubbed.values())
-        )
-        # The completeness gate: a single surviving byte shows up here.
-        self.metrics.counter("gdpr.erase.residuals").inc(
-            report.residual_count
-        )
-        self.metrics.sketch("gdpr.erase.latency").observe(
-            report.simulated_latency
-        )
 
     # -- completeness -------------------------------------------------------
 
@@ -444,7 +426,6 @@ class ErasureCoordinator:
             )
         report.simulated_latency = self._drain(*self._all_backends())
         if self.metrics is not None:
-            self.metrics.counter("gdpr.access.count").inc()
             self.metrics.sketch("gdpr.access.latency").observe(
                 report.simulated_latency
             )

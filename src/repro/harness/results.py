@@ -17,8 +17,7 @@ from repro.sim.metrics import Histogram, MetricRegistry
 
 #: Field-metadata key of a field's merge rule: ``rule(ours, theirs)``
 #: returns the merged value. Every field declares one; ``None`` marks
-#: the fields :meth:`RunResult.merge` folds itself (the scenario name,
-#: the registry, and the PLT histograms aliasing into it).
+#: the scenario name, which :meth:`RunResult.merge` checks instead.
 MERGE = "merge"
 #: Field-metadata key; ``False`` keeps a field out of ``to_dict()``.
 RECORD = "record"
@@ -31,6 +30,18 @@ def merge_keywise(ours: dict, theirs: dict) -> dict:
             merge_keywise(ours.setdefault(key, {}), value)
         else:
             ours[key] = ours.get(key, 0) + value
+    return ours
+
+
+def merge_histograms(
+    ours: Dict[str, Histogram], theirs: Dict[str, Histogram]
+) -> Dict[str, Histogram]:
+    """Fold *theirs* into *ours* histogram by histogram (copying)."""
+    for key, hist in theirs.items():
+        mine = ours.get(key)
+        if mine is None:
+            mine = ours[key] = Histogram(hist.name)
+        mine.merge(hist)
     return ours
 
 
@@ -69,13 +80,20 @@ def _share(part, whole) -> float:
 class RunResult:
     """Everything measured during one trace replay."""
 
-    #: Folded by :meth:`merge` itself and kept out of ``to_dict()``.
+    #: Checked by :meth:`merge` and kept out of ``to_dict()``.
     scenario_name: str = _field(None, False)
-    metrics: MetricRegistry = _field(None, False)
-    #: Page load times, overall and per dimension.
-    plt: Histogram = _field(None, False)
-    plt_by_page_kind: Dict[str, Histogram] = _field(None, False, default_factory=dict)
-    plt_by_connection: Dict[str, Histogram] = _field(None, False, default_factory=dict)
+    #: Telemetry no ledger field holds (per-tier counters, latency
+    #: sketches, time series).
+    metrics: MetricRegistry = _field(
+        MetricRegistry.merge, False, default_factory=MetricRegistry
+    )
+    #: Page load times, overall and per connection profile.
+    plt: Histogram = _field(
+        Histogram.merge, False, default_factory=lambda: Histogram("plt")
+    )
+    plt_by_connection: Dict[str, Histogram] = _field(
+        merge_histograms, False, default_factory=dict
+    )
     #: Request counts by serving layer ("origin", "edge-1",
     #: "browser:<node>"→"browser", "sw:<node>"→"sw").
     served_by_layer: Dict[str, int] = tally()
@@ -264,37 +282,15 @@ class RunResult:
     def merge(self, other: "RunResult") -> "RunResult":
         """Fold one shard's result into self (the exact-merge path).
 
-        Every ledger field folds by the rule declared on it (sum,
-        max, key-wise sum, concatenation). The metric registries merge
-        collector-by-collector (histograms concatenate raw values,
-        quantile sketches use their exact bucket merge). The
-        per-dimension histogram maps are re-pointed at the merged
-        registry entries, so ``self.plt`` and friends stay aliases of
-        registry-owned histograms — merging the registry once merges
-        them too (never merge them separately, that would
-        double-count).
+        Every field but the scenario name folds by the rule declared
+        on it: sums, maxima, key-wise sums, concatenation, and the
+        exact registry and histogram merges (raw values concatenate,
+        quantile sketches bucket-merge).
         """
         if other.scenario_name != self.scenario_name:
             raise ValueError(
                 f"cannot merge run of {other.scenario_name!r} into "
                 f"{self.scenario_name!r}"
-            )
-        if (
-            self.metrics.histogram("plt.all") is not self.plt
-            or other.metrics.histogram("plt.all") is not other.plt
-        ):
-            raise ValueError(
-                "merge requires registry-owned PLT histograms "
-                "('plt.all'); runner-produced results satisfy this"
-            )
-        self.metrics.merge(other.metrics)
-        for kind in other.plt_by_page_kind:
-            self.plt_by_page_kind.setdefault(
-                kind, self.metrics.histogram(f"plt.page.{kind}")
-            )
-        for conn in other.plt_by_connection:
-            self.plt_by_connection.setdefault(
-                conn, self.metrics.histogram(f"plt.conn.{conn}")
             )
         for f in fields(self):
             rule = f.metadata[MERGE]

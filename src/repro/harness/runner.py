@@ -14,10 +14,11 @@ from repro.coherence.client import SketchClient
 from repro.http.messages import Method, Request, Status, degraded_mark
 from repro.http.url import URL
 from repro.invalidation.pipeline import InvalidationPipeline
-from repro.obs import MetricsRegistry, NOOP_TRACER, RecordingTracer
+from repro.obs import NOOP_TRACER, RecordingTracer
 from repro.origin.server import OriginServer
 from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
+from repro.sim.metrics import Histogram, MetricRegistry
 from repro.sim.rng import RngStreams
 from repro.simnet.profiles import build_web_topology
 from repro.sketch.cache_sketch import ServerCacheSketch
@@ -247,7 +248,7 @@ class SimulationRunner:
         spec = self.spec
         self.env = Environment()
         self.streams = RngStreams(spec.seed)
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricRegistry()
         # Tracing is opt-in: the no-op tracer hands every caller the
         # shared null span, so the request path pays one attribute
         # lookup per hop when disabled.
@@ -374,7 +375,7 @@ class SimulationRunner:
             overload=self._overload,
         )
         self.checker = DeltaAtomicityChecker(
-            self.server, delta=self._checker_delta(), metrics=self.metrics
+            self.server, delta=self._checker_delta()
         )
         # Non-consenting users on a Speed Kit site run the plain
         # browser stack: their staleness is bounded by TTLs, not Δ.
@@ -387,9 +388,7 @@ class SimulationRunner:
         # event runs at, the ground-truth ladder checker, and the
         # registry that makes in-flight buffers visible to erasure.
         self._txn_level = ConsistencyLevel.parse(spec.consistency)
-        self.txn_checker = TxnConsistencyChecker(
-            self.server, metrics=self.metrics
-        )
+        self.txn_checker = TxnConsistencyChecker(self.server)
         self.txn_registry = TxnRegistry()
         self._txn_coordinators: Dict[str, TxnCoordinator] = {}
         self._stacks: Dict[str, object] = {}
@@ -419,11 +418,7 @@ class SimulationRunner:
             # One site-wide model: in production it is trained on
             # anonymized navigation statistics across all users.
             self._navigation_model = NavigationPredictor()
-        self.result = RunResult(
-            scenario_name=spec.name,
-            metrics=self.metrics,
-            plt=self.metrics.histogram("plt.all"),
-        )
+        self.result = RunResult(scenario_name=spec.name, metrics=self.metrics)
 
     def _build_site(self):
         """Build the site, injecting the scenario's storage engine into
@@ -821,15 +816,12 @@ class SimulationRunner:
     ) -> None:
         self.result.page_views += 1
         self.result.plt.observe(result.plt)
-        kind_hist = self.result.plt_by_page_kind.setdefault(
-            event.page_kind,
-            self.metrics.histogram(f"plt.page.{event.page_kind}"),
-        )
-        kind_hist.observe(result.plt)
-        conn_hist = self.result.plt_by_connection.setdefault(
-            user.connection,
-            self.metrics.histogram(f"plt.conn.{user.connection}"),
-        )
+        by_connection = self.result.plt_by_connection
+        conn_hist = by_connection.get(user.connection)
+        if conn_hist is None:
+            conn_hist = by_connection[user.connection] = Histogram(
+                f"plt.conn.{user.connection}"
+            )
         conn_hist.observe(result.plt)
         # Timeline for phase-based analyses (flash sale, outages).
         self.metrics.series("plt.timeline").record(

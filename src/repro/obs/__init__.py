@@ -7,10 +7,10 @@ three parts:
   the full request path (service worker -> transport -> PoP/CDN tiers
   -> origin) recording per-hop sim-clock timings, cache verdicts,
   versions served, and fault events;
-* a :class:`MetricsRegistry` extending the exact tallies in
-  :mod:`repro.sim.metrics` with streaming quantile sketches
-  (:class:`QuantileSketch`) for p50/p95/p99 without retaining raw
-  samples;
+* a streaming quantile sketch (:class:`QuantileSketch`) for
+  p50/p95/p99 without retaining raw samples, which the one metrics
+  registry (:class:`repro.sim.metrics.MetricRegistry`) keeps beside
+  its counters;
 * exporters: a JSONL trace dump (:func:`dump_jsonl`), golden-trace
   normalization, and per-tier latency attribution for the harness
   report (:mod:`repro.obs.analysis`).
@@ -39,7 +39,6 @@ from repro.obs.export import (
     normalize_for_golden,
     span_records,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantile import QuantileSketch
 from repro.obs.span import NULL_SPAN, Span, SpanContext
 from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Tracer
@@ -47,7 +46,6 @@ from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Tracer
 __all__ = [
     "NOOP_TRACER",
     "NULL_SPAN",
-    "MetricsRegistry",
     "QuantileSketch",
     "RecordingTracer",
     "Span",

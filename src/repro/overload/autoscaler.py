@@ -16,7 +16,7 @@ hysteresis:
   direction, so a scale-up cannot immediately un-trip itself on the
   transient utilization drop it causes.
 
-Every input is read from the :class:`~repro.obs.MetricsRegistry`
+Every input is read from the :class:`~repro.sim.metrics.MetricRegistry`
 stream the governors publish (``overload.<pop>.queue_depth`` /
 ``.capacity`` gauges, the ``.busy_seconds`` counter, the ``.wait``
 sketch) — the loop never reaches into governor internals, so the same

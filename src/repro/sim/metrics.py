@@ -1,9 +1,15 @@
 """Metric collection for simulations.
 
 Plain in-memory collectors: counters, gauges, value histograms with
-percentile queries, and time series. A :class:`MetricRegistry` groups
-them under hierarchical dotted names so harness code can dump every
-metric of a run in one pass.
+exact percentile queries, time series, and streaming quantile sketches
+(:class:`~repro.obs.quantile.QuantileSketch`: p50/p95/p99 without
+retaining raw samples). A :class:`MetricRegistry` groups them under
+hierarchical dotted names.
+
+The registry holds only telemetry no other object holds. Run-level
+outcomes (serving tallies, the Δ-atomicity verdict, the erasure
+outcome, page load times) live in :class:`repro.harness.RunResult`,
+and the checkers keep their own records.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.quantile import QuantileSketch
 
 
 @dataclass
@@ -85,6 +93,10 @@ class Histogram:
     def values(self) -> Tuple[float, ...]:
         return tuple(self._values)
 
+    def _require_values(self) -> None:
+        if not self._values:
+            raise ValueError(f"histogram {self.name!r} is empty")
+
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._values.sort()
@@ -92,8 +104,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Exact percentile via linear interpolation; ``q`` in [0, 100]."""
-        if not self._values:
-            raise ValueError(f"histogram {self.name!r} is empty")
+        self._require_values()
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile {q} outside [0, 100]")
         self._ensure_sorted()
@@ -111,15 +122,16 @@ class Histogram:
         return self.percentile(50.0)
 
     def mean(self) -> float:
-        if not self._values:
-            raise ValueError(f"histogram {self.name!r} is empty")
+        self._require_values()
         return sum(self._values) / len(self._values)
 
     def min(self) -> float:
+        self._require_values()
         self._ensure_sorted()
         return self._values[0]
 
     def max(self) -> float:
+        self._require_values()
         self._ensure_sorted()
         return self._values[-1]
 
@@ -166,9 +178,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.points)
 
-    def values_between(self, start: float, end: float) -> List[float]:
-        return [v for t, v in self.points if start <= t <= end]
-
 
 class MetricRegistry:
     """Create-or-get access to named metrics."""
@@ -178,22 +187,37 @@ class MetricRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
+        self._sketches: Dict[str, QuantileSketch] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter(name))
+        metric = self._counters.get(name)
+        if metric is None:
+            metric = self._counters[name] = Counter(name)
+        return metric
 
     def gauge(self, name: str) -> Gauge:
-        return self._gauges.setdefault(name, Gauge(name))
+        metric = self._gauges.get(name)
+        if metric is None:
+            metric = self._gauges[name] = Gauge(name)
+        return metric
 
     def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
+        metric = self._histograms.get(name)
+        if metric is None:
+            metric = self._histograms[name] = Histogram(name)
+        return metric
 
     def series(self, name: str) -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(name)
-        return self._series[name]
+        metric = self._series.get(name)
+        if metric is None:
+            metric = self._series[name] = TimeSeries(name)
+        return metric
+
+    def sketch(self, name: str) -> QuantileSketch:
+        metric = self._sketches.get(name)
+        if metric is None:
+            metric = self._sketches[name] = QuantileSketch()
+        return metric
 
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)
@@ -206,12 +230,13 @@ class MetricRegistry:
         """Fold another registry into self, metric by metric.
 
         The merge is *exact* for every collector type: counters and
-        gauges sum, histograms concatenate their raw observations, and
-        time series interleave their points in time order. Metrics
-        present only in ``other`` are created. This is the registry
-        half of the sharded-simulation merge contract — merging N
-        per-shard registries is equivalent to one registry having
-        observed all N event streams.
+        gauges sum, histograms concatenate their raw observations, time
+        series interleave their points in time order, and quantile
+        sketches use their exact, order-independent bucket merge.
+        Metrics present only in ``other`` are created. This is the
+        registry half of the sharded-simulation merge contract —
+        merging N per-shard registries is equivalent to one registry
+        having observed all N event streams.
         """
         for name, counter in other._counters.items():
             self.counter(name).value += counter.value
@@ -221,17 +246,6 @@ class MetricRegistry:
             self.histogram(name).merge(hist)
         for name, series in other._series.items():
             self.series(name).merge(series)
+        for name, sketch in other._sketches.items():
+            self.sketch(name).merge(sketch)
         return self
-
-    def snapshot(self) -> Dict[str, object]:
-        """A flat dict of every metric's current value/summary."""
-        out: Dict[str, object] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
-        for name, hist in self._histograms.items():
-            out[name] = hist.summary()
-        for name, series in self._series.items():
-            out[name] = len(series)
-        return out

@@ -106,9 +106,9 @@ class TestChecker:
         with pytest.raises(ValueError):
             DeltaAtomicityChecker(server, delta=-1.0)
 
-    def test_metrics_recorded(self, server):
+    def test_stale_violating_read_is_counted(self, server):
         checker = DeltaAtomicityChecker(server, delta=5.0)
         server.update("docs", "1", {"x": 2}, at=10.0)
         checker.record_read(response(1), read_at=30.0)
-        assert checker.metrics.counter("coherence.violations").value == 1
-        assert checker.metrics.counter("coherence.stale_reads").value == 1
+        assert checker.violation_count == 1
+        assert checker.stale_read_fraction() == 1.0

@@ -129,7 +129,6 @@ class TestWorkloadErasure:
 
     def test_every_erase_reported_zero_residuals(self, runner):
         assert runner.result.erasure_residuals == 0
-        assert runner.metrics.counter("gdpr.erase.residuals").value == 0
 
     def test_post_run_deep_walk_finds_nothing(self, runner):
         """Re-audit after the run: drained queues, arrived replicas and
@@ -140,10 +139,11 @@ class TestWorkloadErasure:
 
     def test_erasure_latency_was_accounted(self, runner):
         """One latency observation per erase call. Compared against the
-        erase counter, not ``result.erasures``: other test modules may
-        have issued further manual erases on this cached runner."""
+        coordinator's erase log, not ``result.erasures``: other test
+        modules may have issued further manual erases on this cached
+        runner."""
         sketch = runner.metrics.sketch("gdpr.erase.latency")
-        count = runner.metrics.counter("gdpr.erase.count").value
+        count = len(runner.gdpr.erased_users)
         assert count >= runner.result.erasures > 0
         assert sketch.count == count
 

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.harness import ConversionModel, RunResult, compare_scenarios
-from repro.sim import MetricRegistry
 
 
 def make_result(name, plts):
-    metrics = MetricRegistry()
-    result = RunResult(
-        scenario_name=name, metrics=metrics, plt=metrics.histogram("plt")
-    )
+    result = RunResult(scenario_name=name)
     result.plt.extend(plts)
     return result
 

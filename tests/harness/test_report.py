@@ -11,7 +11,6 @@ from repro.harness import (
     SimulationRunner,
     render_report,
 )
-from repro.sim import MetricRegistry
 from repro.workload import (
     CatalogConfig,
     UserPopulationConfig,
@@ -79,9 +78,6 @@ def test_empty_results_rejected():
 
 
 def test_empty_plt_handled():
-    metrics = MetricRegistry()
-    result = RunResult(
-        scenario_name="empty", metrics=metrics, plt=metrics.histogram("plt")
-    )
+    result = RunResult(scenario_name="empty")
     report = render_report([result])
     assert "## Page load time distributions" not in report

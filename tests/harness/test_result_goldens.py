@@ -28,6 +28,11 @@ def _config(name):
     """``(spec, workload overrides)`` of one golden configuration."""
     if name in ("none", "chaos", "overload"):
         return spec_for(name), {}
+    if name == "overload-10x":
+        return (
+            dataclasses.replace(spec_for("overload"), load_multiplier=10.0),
+            {},
+        )
     if name == "serializable":
         # Under chaos so the ledger also carries 5xx failures and
         # degraded (stale-if-error / offline) servings.
@@ -57,6 +62,8 @@ def _config(name):
             dataclasses.replace(base, backend=BackendSpec(kind="remote")),
             {},
         )
+    if name == "replicated":
+        return dataclasses.replace(base, replicate_pops=True), {}
     raise ValueError(name)
 
 
@@ -69,6 +76,8 @@ CONFIGS = (
     "write-behind",
     "outage",
     "remote",
+    "replicated",
+    "overload-10x",
 )
 
 

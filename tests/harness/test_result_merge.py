@@ -12,18 +12,15 @@ import typing
 import pytest
 
 from repro.harness import RunResult
-from repro.harness.results import MERGE, merge_keywise
-from repro.obs import MetricsRegistry
+from repro.harness.results import MERGE, merge_histograms, merge_keywise
+from repro.parallel import ShardedSimulationRunner
+from repro.parallel.worker import run_shard
+from repro.sim.metrics import Histogram, MetricRegistry
 
-#: The fields ``merge`` folds itself: the scenario-name guard, and the
-#: registry plus the PLT histograms that alias into it.
-BY_HAND = {
-    "scenario_name",
-    "metrics",
-    "plt",
-    "plt_by_page_kind",
-    "plt_by_connection",
-}
+from tests.obs.conftest import small_workload, spec_for
+
+#: The field ``merge`` checks instead of folding: the scenario name.
+BY_HAND = {"scenario_name"}
 
 FIELDS = dataclasses.fields(RunResult)
 RULES = {f.name: f.metadata.get(MERGE) for f in FIELDS}
@@ -31,21 +28,24 @@ HINTS = typing.get_type_hints(RunResult)
 
 
 def fresh():
-    registry = MetricsRegistry()
-    return RunResult(
-        scenario_name="s",
-        metrics=registry,
-        plt=registry.histogram("plt.all"),
-    )
+    return RunResult(scenario_name="s")
+
+
+def _holds_histograms(name):
+    """Is *name* a map of histograms rather than of counts?"""
+    return typing.get_args(HINTS[name])[-1:] == (Histogram,)
 
 
 def ledger_fields(kind):
-    """Names of the rule-merged fields whose fresh value is *kind*."""
+    """Names of the rule-merged count fields whose fresh value is
+    *kind*."""
     empty = fresh()
     return [
         name
         for name, rule in RULES.items()
-        if rule is not None and isinstance(getattr(empty, name), kind)
+        if rule is not None
+        and isinstance(getattr(empty, name), kind)
+        and not _holds_histograms(name)
     ]
 
 
@@ -71,6 +71,7 @@ def test_every_field_is_covered_by_a_case():
         set(ledger_fields((int, float)))
         | set(ledger_fields(dict))
         | {"tier_breakdown", "trace_records"}
+        | {"metrics", "plt", "plt_by_connection"}
         | BY_HAND
     )
     assert covered == {f.name for f in FIELDS}
@@ -132,6 +133,47 @@ def test_dicts_sum_key_by_key():
                 assert value is not getattr(ours, name)[key]
 
 
+def test_a_bare_result_constructs_and_merges():
+    ours, theirs = fresh(), fresh()
+    assert ours.merge(theirs) is ours
+    assert ours.plt.count == 0 and ours.plt_by_connection == {}
+    with pytest.raises(ValueError):
+        ours.merge(RunResult(scenario_name="other"))
+
+
+def test_registries_merge_exactly():
+    ours, theirs = fresh(), fresh()
+    assert RULES["metrics"] is MetricRegistry.merge
+    ours.metrics.counter("hits").inc(2)
+    theirs.metrics.counter("hits").inc(3)
+    theirs.metrics.sketch("lat").observe(0.5)
+    ours.merge(theirs)
+    assert ours.metrics.counter("hits").value == 5
+    assert ours.metrics.sketch("lat").count == 1
+
+
+def test_plt_histograms_concatenate():
+    ours, theirs = fresh(), fresh()
+    assert RULES["plt"] is Histogram.merge
+    assert RULES["plt_by_connection"] is merge_histograms
+    ours.plt.extend([1.0, 3.0])
+    theirs.plt.extend([2.0])
+    ours.plt_by_connection["dsl"] = Histogram("dsl")
+    ours.plt_by_connection["dsl"].extend([1.0, 3.0])
+    theirs.plt_by_connection["dsl"] = Histogram("dsl")
+    theirs.plt_by_connection["dsl"].observe(2.0)
+    theirs.plt_by_connection["3g"] = Histogram("3g")
+    theirs.plt_by_connection["3g"].observe(4.0)
+    ours.merge(theirs)
+    assert sorted(ours.plt.values) == [1.0, 2.0, 3.0]
+    merged = ours.plt_by_connection
+    assert sorted(merged["dsl"].values) == [1.0, 2.0, 3.0]
+    assert merged["3g"].values == (4.0,)
+    # The merge copies, never aliases, the other shard's histograms.
+    assert merged["3g"] is not theirs.plt_by_connection["3g"]
+    assert theirs.plt.values == (2.0,)
+
+
 def test_trace_records_concatenate_through_none():
     ours, theirs = fresh(), fresh()
     ours.merge(theirs)
@@ -162,3 +204,24 @@ def test_tier_breakdown_sums_through_none():
     theirs.tier_breakdown = None
     ours.merge(theirs)
     assert ours.tier_breakdown == {"origin": 1.75, "network": 2.0}
+
+
+def test_two_shard_merge_concatenates_plt_per_connection():
+    """The merged per-connection PLT histograms hold exactly the two
+    shards' observations (``to_dict()`` goldens do not pin them)."""
+    catalog, users, trace = small_workload()
+    tasks = ShardedSimulationRunner(
+        spec_for("none"), catalog, users, trace, n_shards=2, workers=1
+    ).tasks()
+    ours, theirs = (run_shard(task).result for task in tasks)
+    expected = {}
+    for shard in (ours, theirs):
+        for conn, hist in shard.plt_by_connection.items():
+            expected.setdefault(conn, []).extend(hist.values)
+    assert len(expected) > 1, "workload exercises one connection only"
+    ours.merge(theirs)
+    merged = ours.plt_by_connection
+    assert set(merged) == set(expected)
+    for conn, values in expected.items():
+        assert sorted(merged[conn].values) == sorted(values), conn
+    assert sum(hist.count for hist in merged.values()) == ours.plt.count

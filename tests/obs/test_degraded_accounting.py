@@ -12,16 +12,10 @@ import pytest
 from repro.harness import RunResult
 from repro.http.headers import Headers
 from repro.http.messages import Response, Status, degraded_mark
-from repro.obs import MetricsRegistry
 
 
 def result_with(served, degraded):
-    registry = MetricsRegistry()
-    result = RunResult(
-        scenario_name="test",
-        metrics=registry,
-        plt=registry.histogram("plt.all"),
-    )
+    result = RunResult(scenario_name="test")
     result.served_by_layer = dict(served)
     result.served_degraded_by_layer = dict(degraded)
     return result

@@ -43,18 +43,18 @@ class TestTierAttribution:
         )
 
     def test_tier_sketches_are_populated(self, runner):
-        names = runner.metrics.sketch_names()
-        assert any(name.startswith("tier.plt.") for name in names)
+        tiers = runner.result.tier_breakdown
+        assert "client" in tiers
         # Every page view attributes time to its own (client) tier;
         # the other tiers appear only on the loads that touched them.
         assert (
             runner.metrics.sketch("tier.plt.client").count
             == runner.result.page_views
         )
-        for name in names:
-            if name.startswith("tier.plt."):
-                count = runner.metrics.sketch(name).count
-                assert 0 < count <= runner.result.page_views, name
+        for tier, seconds in tiers.items():
+            sketch = runner.metrics.sketch(f"tier.plt.{tier}")
+            assert 0 < sketch.count <= runner.result.page_views, tier
+            assert sketch.sum == pytest.approx(seconds, abs=1e-6), tier
 
 
 def rebuild_checkers(runner):

@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
-from repro.obs import MetricsRegistry
 from repro.overload import (
     OVERLOAD_PROFILES,
     AutoscaleConfig,
@@ -23,6 +22,7 @@ from repro.overload import (
 )
 from repro.parallel import ShardedSimulationRunner
 from repro.sim.environment import Environment
+from repro.sim.metrics import MetricRegistry
 
 pytestmark = pytest.mark.overload
 
@@ -37,7 +37,7 @@ class Harness:
         import random
 
         self.env = Environment()
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricRegistry()
         profile = OverloadProfile(
             name="unit",
             pop_capacity=capacity,

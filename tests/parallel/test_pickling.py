@@ -93,9 +93,8 @@ def test_pickled_task_replays_identically(workload):
 
 
 def test_results_pickle_back(workload):
-    """The return leg: a RunResult (with its registry and aliased
-    histograms) survives pickling, preserving the alias the merge
-    guard depends on."""
+    """The return leg: a RunResult (with its registry and PLT
+    histograms) survives pickling with every value intact."""
     catalog, users, trace = workload
     spec = ScenarioSpec(scenario=Scenario.SPEED_KIT, delta=60.0)
     task = ShardedSimulationRunner(
@@ -103,5 +102,12 @@ def test_results_pickle_back(workload):
     ).tasks()[0]
     outcome = run_shard(task)
     clone = pickle.loads(pickle.dumps(outcome))
-    assert clone.result.metrics.histogram("plt.all") is clone.result.plt
+    assert clone.result.plt.values == outcome.result.plt.values
+    assert {
+        conn: hist.values
+        for conn, hist in clone.result.plt_by_connection.items()
+    } == {
+        conn: hist.values
+        for conn, hist in outcome.result.plt_by_connection.items()
+    }
     assert clone.result.to_dict() == outcome.result.to_dict()

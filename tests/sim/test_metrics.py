@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.sim.metrics as metrics
 from repro.sim import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
 
 
@@ -29,6 +30,11 @@ class TestGauge:
 
 
 class TestHistogram:
+    @pytest.mark.parametrize("query", ("min", "max", "mean", "median"))
+    def test_empty_queries_raise_value_error(self, query):
+        with pytest.raises(ValueError, match="histogram 'h' is empty"):
+            getattr(Histogram("h"), query)()
+
     def test_empty_percentile_raises(self):
         with pytest.raises(ValueError):
             Histogram("h").percentile(50)
@@ -96,12 +102,12 @@ class TestHistogram:
 
 
 class TestTimeSeries:
-    def test_record_and_filter(self):
+    def test_record_keeps_points_in_order(self):
         ts = TimeSeries("s")
         ts.record(1.0, 10)
         ts.record(2.0, 20)
         ts.record(3.0, 30)
-        assert ts.values_between(1.5, 3.0) == [20, 30]
+        assert ts.points == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
         assert len(ts) == 3
 
 
@@ -113,14 +119,24 @@ class TestMetricRegistry:
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.series("s") is reg.series("s")
 
-    def test_snapshot_contains_all_metrics(self):
+    @pytest.mark.parametrize(
+        "kind, collector",
+        [
+            ("counter", "Counter"),
+            ("gauge", "Gauge"),
+            ("histogram", "Histogram"),
+            ("series", "TimeSeries"),
+            ("sketch", "QuantileSketch"),
+        ],
+    )
+    def test_lookup_of_an_existing_metric_allocates_nothing(
+        self, kind, collector, monkeypatch
+    ):
         reg = MetricRegistry()
-        reg.counter("hits").inc(3)
-        reg.gauge("size").set(7)
-        reg.histogram("lat").observe(1.5)
-        reg.series("ts").record(0.0, 1.0)
-        snap = reg.snapshot()
-        assert snap["hits"] == 3
-        assert snap["size"] == 7
-        assert snap["lat"]["count"] == 1
-        assert snap["ts"] == 1
+        existing = getattr(reg, kind)("m")
+
+        def allocate(*args, **kwargs):
+            raise AssertionError(f"{kind}() built a throwaway {collector}")
+
+        monkeypatch.setattr(metrics, collector, allocate)
+        assert getattr(reg, kind)("m") is existing
